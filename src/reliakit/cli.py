@@ -4,8 +4,7 @@ Two subcommands: ``run`` executes one analysis method on one problem and
 writes a result record; ``compare`` runs several methods on the same
 problem and emits a single CSV table.  Configs are JSON documents checked
 against a schema before any model evaluation happens, and a fixed config
-plus seed reproduces output files byte for byte regardless of thread
-count.
+plus seed reproduces output files byte for byte.
 """
 
 from __future__ import annotations
@@ -291,14 +290,12 @@ def _run_method(
     rv: RandomVector,
     method: dict,
     seed: int,
-    threads: int,
 ) -> dict:
     name = method["name"]
     ledger = EvalLedger()
     rng = make_rng(seed)
     if name == "mc":
-        res = estimate_mc(ls, rv, int(method.get("n", 100_000)), seed=rng,
-                          ledger=ledger, threads=threads)
+        res = estimate_mc(ls, rv, int(method.get("n", 100_000)), seed=rng, ledger=ledger)
         return res.to_dict()
     if name == "is":
         spec = method.get("instrumental", {"type": "input"})
@@ -310,8 +307,7 @@ def _run_method(
                 raise ConfigError("instrumental center has the wrong dimension")
             inst = InstrumentalDensity.gaussian_centered(center, spec.get("std", 1.0))
         res = estimate_is(ls, inst, lambda xs: np.asarray(rv.joint_pdf(xs)),
-                          int(method.get("n", 10_000)), seed=rng,
-                          ledger=ledger, threads=threads)
+                          int(method.get("n", 10_000)), seed=rng, ledger=ledger)
         return res.to_dict()
     if name == "fosm":
         return cornell_index(ls, rv, step=float(method.get("step", 1e-6)),
@@ -329,7 +325,7 @@ def _run_method(
         p = qrs_n_coeffs(rv.dimension, bool(method.get("include_cross", True)))
         n_design = int(method.get("n_design", 3 * p))
         pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)
-        g = evaluate_batch(ls, pts, ledger=ledger, threads=threads)
+        g = evaluate_batch(ls, pts, ledger=ledger)
         surf = qrs_fit(pts, g, include_cross=bool(method.get("include_cross", True)))
         n_sur = int(method.get("n_surrogate", 1_000_000))
         sur = estimate_mc(surf.to_limit_state(), rv, n_sur, seed=rng)
@@ -351,13 +347,12 @@ def _run_method(
                 p_max=int(method.get("p_max", 5)),
                 seed=rng,
                 ledger=ledger,
-                threads=threads,
             )
         else:
             basis = basis_for(rv, int(method.get("degree", 3)))
             n_design = int(method.get("n_factor", 2)) * basis.size
             pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)
-            g = evaluate_batch(ls, pts, ledger=ledger, threads=threads)
+            g = evaluate_batch(ls, pts, ledger=ledger)
             model = pce_fit_regression(rv, basis, ExperimentalDesign(pts, g))
         sur = pce_pf(model, rv, n_sur, seed=rng)
         out = ReliabilityResult(
@@ -378,7 +373,6 @@ def _run_method(
             budget=int(method.get("budget", 150)),
             seed=rng,
             ledger=ledger,
-            threads=threads,
         )
         n_bounds = int(method.get("n_bounds", 1_000_000))
         lo, mid, hi = krig_pf_bounds(res.model, rv, k=k, n=n_bounds, seed=rng)
@@ -412,7 +406,6 @@ def _run_method(
             n_chain=int(method.get("n_chain", 250)),
             seed=rng,
             ledger=ledger,
-            threads=threads,
         )
         doc = res.to_dict()
         doc["extras"].pop("doe_trace", None)
@@ -474,22 +467,14 @@ def _resolve_seed(cfg: dict, args) -> int:
     return int(cfg.get("seed", 0))
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, int(args.threads))
-    env = os.environ.get("RELIAKIT_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def run(args) -> int:
     cfg = _load_config(args.config, require="method")
     method = _apply_overrides(cfg["method"], args.method_override or [])
     seed = _resolve_seed(cfg, args)
-    threads = _resolve_threads(args)
     path, form_ = _resolve_output(cfg, args)
     ls, rv = _build_problem(cfg["problem"])
 
-    doc = _run_method(ls, rv, method, seed, threads)
+    doc = _run_method(ls, rv, method, seed)
     record = {"problem": cfg["problem"], "seed": seed, "result": doc}
     if form_ == "csv":
         text = _result_csv_rows([doc])
@@ -507,7 +492,6 @@ def run(args) -> int:
 def compare(args) -> int:
     cfg = _load_config(args.config, require="methods")
     seed = _resolve_seed(cfg, args)
-    threads = _resolve_threads(args)
     path, _ = _resolve_output(cfg, args)
     ls, rv = _build_problem(cfg["problem"])
 
@@ -516,7 +500,7 @@ def compare(args) -> int:
     for i, method in enumerate(cfg["methods"]):
         method = _apply_overrides(method, args.method_override or [])
         try:
-            doc = _run_method(ls, rv, method, seed + i, threads)
+            doc = _run_method(ls, rv, method, seed + i)
         except _NUMERICAL_ERRORS as exc:
             doc = {"method": method["name"], "status": "failed", "error": str(exc)}
             failures += 1
@@ -545,8 +529,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for true-model batches")
         p.add_argument("--output", default=None, help="override the output path")
         p.add_argument(
             "--method-override",

@@ -31,6 +31,45 @@ __all__ = [
 ]
 
 
+def _clean(v):
+    """Plain JSON data: non-finite floats become None, numpy types plain Python."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (np.floating, np.integer)):
+        return _clean(v.item())
+    if isinstance(v, dict):
+        return {k: _clean(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_clean(x) for x in v]
+    return v
+
+
+def _beta(pf: float) -> float:
+    """Generalized reliability index -PhiInv(pf), infinite when pf is 0 or 1."""
+    if pf <= 0.0:
+        return math.inf
+    if pf >= 1.0:
+        return -math.inf
+    return float(-ndtri(pf))
+
+
+def _mean_cov(w: np.ndarray) -> tuple[float, float]:
+    """Sample mean of w and the coefficient of variation of that mean.
+
+    Compensated sums make the result independent of the order of w; the
+    CoV is infinite when the mean is not positive.
+    """
+    n = w.size
+    mean = math.fsum(w) / n
+    if mean <= 0.0:
+        return mean, math.inf
+    second = math.fsum(float(v) * float(v) for v in w) / n
+    var = max(second - mean * mean, 0.0) / n
+    return mean, math.sqrt(var) / mean
+
+
 @dataclass
 class ReliabilityResult:
     """Outcome of a reliability analysis.
@@ -48,34 +87,19 @@ class ReliabilityResult:
 
     @property
     def beta(self) -> float:
-        if self.pf <= 0.0:
-            return math.inf
-        if self.pf >= 1.0:
-            return -math.inf
-        return float(-ndtri(self.pf))
+        return _beta(self.pf)
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return None
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return clean(v.item())
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
-
-        return {
-            "method": self.method,
-            "pf": clean(float(self.pf)),
-            "beta": clean(self.beta),
-            "cov": clean(float(self.cov)),
-            "n_calls": int(self.n_calls),
-            "extras": clean(self.extras),
-        }
+        return _clean(
+            {
+                "method": self.method,
+                "pf": float(self.pf),
+                "beta": self.beta,
+                "cov": float(self.cov),
+                "n_calls": int(self.n_calls),
+                "extras": self.extras,
+            }
+        )
 
 
 def mc_cov(pf: float, n: int) -> float:
@@ -97,7 +121,6 @@ def estimate_mc(
     n: int,
     seed=None,
     ledger: EvalLedger | None = None,
-    threads: int = 1,
     batch: int = 100_000,
 ) -> ReliabilityResult:
     """Crude Monte Carlo estimate pf = (# failures) / n.
@@ -108,15 +131,9 @@ def estimate_mc(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_rng(seed)
     nf = 0
-    done = 0
-    while done < n:
-        k = min(batch, n - done)
-        xs = rv.sample(k, scheme="monte_carlo", seed=rng)
-        g = evaluate_batch(ls, xs, ledger=ledger, threads=threads)
-        nf += int(np.count_nonzero(g <= 0.0))
-        done += k
+    for xs in rv.sample_chunks(n, batch, seed=seed):
+        nf += int(np.count_nonzero(evaluate_batch(ls, xs, ledger=ledger) <= 0.0))
     pf = nf / n
     extras = {"n_failures": nf}
     if nf == 0:
@@ -208,7 +225,6 @@ def estimate_is(
     n: int,
     seed=None,
     ledger: EvalLedger | None = None,
-    threads: int = 1,
 ) -> ReliabilityResult:
     """Importance sampling: pf = mean of 1{g <= 0} f(x) / h(x) under h.
 
@@ -222,7 +238,7 @@ def estimate_is(
     rng = make_rng(seed)
     xs = instrumental.sampler(rng, n)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    g = evaluate_batch(ls, xs, ledger=ledger, threads=threads)
+    g = evaluate_batch(ls, xs, ledger=ledger)
     fail = g <= 0.0
     h = np.asarray(instrumental.density(xs), dtype=float).reshape(n)
     f = np.asarray(f_density(xs), dtype=float).reshape(n)
@@ -236,14 +252,9 @@ def estimate_is(
     w = np.zeros(n)
     idx = fail & (h > 0.0)
     w[idx] = f[idx] / h[idx]
-    pf = math.fsum(w) / n
-    if pf > 0.0:
-        second = math.fsum(float(v) * float(v) for v in w) / n
-        var = max(second - pf * pf, 0.0) / n
-        cov = math.sqrt(var) / pf
-    else:
+    pf, cov = _mean_cov(w)
+    if pf <= 0.0:
         warnings.warn("no failures observed under the instrumental density", RuntimeWarning)
-        cov = math.inf
     return ReliabilityResult(
         pf=pf,
         cov=cov,
@@ -338,11 +349,7 @@ def form(
     def g_std(u: np.ndarray) -> float:
         nonlocal calls
         calls += 1
-        x = rv.from_standard(u)
-        val = float(ls(np.asarray(x, dtype=float)))
-        if ledger is not None:
-            ledger.record(x, np.array([val]))
-        return val
+        return float(evaluate_batch(ls, rv.from_standard(u), ledger=ledger)[0])
 
     g_origin = g_std(np.zeros(m))
     sign = 1.0 if g_origin > 0.0 else -1.0

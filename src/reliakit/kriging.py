@@ -481,31 +481,47 @@ def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
     return pool[int(tied[0])].copy()
 
 
-def _standard_chain(rv: RandomVector, log_weight, u0, n_keep, rng, widths=1.0,
-                    return_stats=False):
-    """Slice-sample the density (weight o T^-1)(u) x standard normal.
+def _surrogate_chain(model: KrigingModel, rv: RandomVector, weight, log_weight, n, rng):
+    """Slice-sample the density proportional to w(x) f_X(x), w set by the surrogate.
 
-    Running the chain in standard coordinates makes the input-density part
-    of the target a simple quadratic and handles correlated inputs through
-    the exact transform.
+    ``weight(mu, sd)`` gives w on arrays of predictions; it picks the start,
+    the design point or one of 512 input draws (the probe) with the largest
+    w, the design winning ties, and :class:`SamplerError` is raised when
+    none reaches 1e-12.  ``log_weight`` gives log w from the
+    :class:`KrigingPrediction` at one point.  The chain runs in independent
+    standard normal coordinates, where the input-density factor is an exact
+    quadratic.  The probe and then the chain draw from ``rng``.  Returns
+    the n draws in physical coordinates and the chain statistics.
     """
+    pts = model.design.points
+    w_d = weight(*krig_predict_batch(model, pts))
+    probe = rv.sample(512, scheme="monte_carlo", seed=rng)
+    w_p = weight(*krig_predict_batch(model, probe))
+    best_d, best_p = float(np.max(w_d)), float(np.max(w_p))
+    if max(best_d, best_p) < 1e-12:
+        raise SamplerError(
+            "no design or probe point carries appreciable weight; "
+            "the target density has no reachable support"
+        )
+    x_start = pts[int(np.argmax(w_d))] if best_d >= best_p else probe[int(np.argmax(w_p))]
 
     def log_target(u):
-        lw = log_weight(u)
+        lw = log_weight(krig_predict(model, rv.from_standard(u)))
         if lw == -math.inf:
             return -math.inf
         return lw - 0.5 * float(u @ u)
 
-    return slice_sample(
+    chain, stats = slice_sample(
         log_target,
-        u0,
-        n_keep,
+        rv.to_standard(x_start),
+        n,
         rng,
-        widths=widths,
+        widths=1.0,
         thin=10,
         burn_frac=0.2,
-        return_stats=return_stats,
+        return_stats=True,
     )
+    return np.atleast_2d(rv.from_standard(chain)), stats
 
 
 def enrich_margin(
@@ -531,27 +547,17 @@ def enrich_margin(
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
     rng = make_rng(seed)
-    pts = model.design.points
-    mu_d, sd_d = krig_predict_batch(model, pts)
-    margin_d = _margin_values(mu_d, sd_d, k)
-    probe = rv.sample(512, scheme="monte_carlo", seed=rng)
-    mu_p, sd_p = krig_predict_batch(model, probe)
-    margin_p = _margin_values(mu_p, sd_p, k)
-    if max(margin_d.max(initial=0.0), margin_p.max(initial=0.0)) < 1e-12:
-        raise MarginCollapsed("no candidate carries margin probability")
-    if margin_d.max() >= margin_p.max():
-        x_start = pts[int(np.argmax(margin_d))]
-    else:
-        x_start = probe[int(np.argmax(margin_p))]
-    u_start = rv.to_standard(x_start)
 
-    def log_weight(u):
-        x = rv.from_standard(u)
-        c = margin_probability(krig_predict(model, x), k)
+    def log_margin(pred):
+        c = margin_probability(pred, k)
         return math.log(c) if c > 0.0 else -math.inf
 
-    chain_u = _standard_chain(rv, log_weight, u_start, n_chain, rng)
-    samples = np.atleast_2d(rv.from_standard(chain_u))
+    try:
+        samples, _ = _surrogate_chain(
+            model, rv, lambda mu, sd: _margin_values(mu, sd, k), log_margin, n_chain, rng
+        )
+    except SamplerError as exc:
+        raise MarginCollapsed(str(exc)) from None
 
     kk = min(n_clusters, samples.shape[0])
     with warnings.catch_warnings():
@@ -604,17 +610,12 @@ def krig_pf_bounds(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_rng(seed)
     c_lo = c_mid = c_hi = 0
-    done = 0
-    while done < n:
-        m = min(batch, n - done)
-        xs = rv.sample(m, scheme="monte_carlo", seed=rng)
+    for xs in rv.sample_chunks(n, batch, seed=seed):
         mu, sd = krig_predict_batch(model, xs)
         c_lo += int(np.count_nonzero(mu <= -k * sd))
         c_mid += int(np.count_nonzero(mu <= 0.0))
         c_hi += int(np.count_nonzero(mu <= k * sd))
-        done += m
     return c_lo / n, c_mid / n, c_hi / n
 
 
@@ -663,7 +664,6 @@ def ak_mcs(
     trend: str = "constant",
     seed=None,
     ledger: EvalLedger | None = None,
-    threads: int = 1,
     refit_starts: int = 2,
 ) -> AdaptiveResult:
     """One-point-at-a-time enrichment against a fixed Monte Carlo pool.
@@ -681,7 +681,7 @@ def ak_mcs(
     if budget < n0:
         raise ValueError(f"budget {budget} is below the initial design size {n0}")
     pts = initial_design(rv, n0, seed=s_design)
-    resp = evaluate_batch(ls, pts, ledger=ledger, threads=threads)
+    resp = evaluate_batch(ls, pts, ledger=ledger)
     design = ExperimentalDesign(pts, resp)
     pool = rv.sample(n_pool, scheme="monte_carlo", seed=s_pool)
 
@@ -719,7 +719,7 @@ def ak_mcs(
         if not _is_new_point(new_pt, design.points, []):
             # Coincides with an existing design point; skip it next round.
             continue
-        g_new = evaluate_batch(ls, new_pt.reshape(1, -1), ledger=ledger, threads=threads)
+        g_new = evaluate_batch(ls, new_pt.reshape(1, -1), ledger=ledger)
         design = design.extended(new_pt.reshape(1, -1), g_new)
 
 
@@ -735,7 +735,6 @@ def adaptive_margin_design(
     trend: str = "constant",
     seed=None,
     ledger: EvalLedger | None = None,
-    threads: int = 1,
     refit_starts: int = 2,
 ) -> AdaptiveResult:
     """Margin-sampling enrichment until the pf band is tight.
@@ -753,7 +752,7 @@ def adaptive_margin_design(
     if budget < n0:
         raise ValueError(f"budget {budget} is below the initial design size {n0}")
     pts = initial_design(rv, n0, seed=s_design)
-    resp = evaluate_batch(ls, pts, ledger=ledger, threads=threads)
+    resp = evaluate_batch(ls, pts, ledger=ledger)
     design = ExperimentalDesign(pts, resp)
 
     theta = None
@@ -797,7 +796,7 @@ def adaptive_margin_design(
             )
         except MarginCollapsed:
             return AdaptiveResult(model, design.size, True, "margin_collapsed", trace)
-        g_new = evaluate_batch(ls, new_pts, ledger=ledger, threads=threads)
+        g_new = evaluate_batch(ls, new_pts, ledger=ledger)
         design = design.extended(new_pts, g_new)
 
 

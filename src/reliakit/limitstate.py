@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import ast
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ModelError
 
@@ -32,43 +31,20 @@ __all__ = [
 
 
 class EvalLedger:
-    """Thread-safe counter of true limit-state evaluations.
+    """Counter of true limit-state evaluations."""
 
-    With ``keep_history=True`` it also records every (point, value) pair,
-    which the adaptive drivers use to re-use evaluations across stages.
-    """
-
-    def __init__(self, keep_history: bool = False):
-        self._lock = threading.Lock()
+    def __init__(self):
         self._count = 0
-        self._keep = keep_history
-        self._points: list[np.ndarray] = []
-        self._values: list[float] = []
 
     @property
     def count(self) -> int:
         return self._count
 
-    def record(self, points: np.ndarray, values: np.ndarray):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        with self._lock:
-            self._count += len(values)
-            if self._keep:
-                self._points.extend(points.copy())
-                self._values.extend(float(v) for v in values)
-
-    def history(self) -> tuple[np.ndarray, np.ndarray]:
-        with self._lock:
-            if not self._points:
-                return np.empty((0, 0)), np.empty(0)
-            return np.array(self._points), np.array(self._values)
+    def record(self, n: int):
+        self._count += n
 
     def reset(self):
-        with self._lock:
-            self._count = 0
-            self._points.clear()
-            self._values.clear()
+        self._count = 0
 
 
 @dataclass(frozen=True)
@@ -97,12 +73,14 @@ def evaluate_batch(
     ls: LimitState,
     xs,
     ledger: EvalLedger | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Evaluate g at each row of xs, count the calls, and check finiteness.
 
-    Results are assembled in row order regardless of thread count, so a
-    given design always yields the same response vector.
+    The ledger counts every row the model saw, also when the batch fails:
+    all rows of a batch with a non-finite output, and the rows up to and
+    including the one where the scalar evaluator raised.  That evaluator's
+    ``ArithmeticError`` or ``ValueError`` is re-raised as :class:`ModelError`
+    naming the row and the point.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != ls.dimension:
@@ -110,20 +88,24 @@ def evaluate_batch(
     n = xs.shape[0]
     if ls.vector_evaluator is not None:
         out = np.asarray(ls.vector_evaluator(xs), dtype=float).reshape(n)
-    elif threads > 1 and n > 1:
-        out = np.empty(n)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, val in enumerate(pool.map(ls.evaluator, xs)):
-                out[i] = val
     else:
-        out = np.array([ls.evaluator(x) for x in xs], dtype=float)
+        vals: list[float] = []
+        try:
+            for x in xs:
+                vals.append(ls.evaluator(x))
+        except (ArithmeticError, ValueError) as exc:
+            i = len(vals)
+            if ledger is not None:
+                ledger.record(i + 1)
+            raise ModelError(f"{ls.name} failed at row {i}: {xs[i]!r}: {exc}") from exc
+        out = np.array(vals, dtype=float)
+    if ledger is not None:
+        ledger.record(n)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise ModelError(
             f"{ls.name} returned a non-finite value at row {bad[0]}: {xs[bad[0]]!r}"
         )
-    if ledger is not None:
-        ledger.record(xs, out)
     return out
 
 
@@ -143,14 +125,10 @@ class ExperimentalDesign:
             raise ValueError("design must contain at least one point")
         # Coincident points make correlation matrices exactly singular, so
         # reject them up front instead of failing deep inside a factorization.
-        order = np.lexsort(pts.T[::-1])
-        sorted_pts = pts[order]
-        gaps = np.max(np.abs(np.diff(sorted_pts, axis=0)), axis=1) if len(pts) > 1 else None
-        if gaps is not None and np.any(gaps < 1e-12):
-            k = int(np.flatnonzero(gaps < 1e-12)[0])
-            raise ValueError(
-                f"duplicate design points at rows {order[k]} and {order[k + 1]}"
-            )
+        close = cKDTree(pts).query_pairs(1e-12, p=np.inf)
+        if close:
+            i, j = min(close)
+            raise ValueError(f"duplicate design points at rows {i} and {j}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "responses", resp)
 
@@ -322,6 +300,12 @@ def limit_state_from_expression(
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
                 raise ModelError("only whitelisted function calls are allowed")
+        if isinstance(node, ast.Constant):
+            # float literals keep integer powers such as 9**9**9 from growing
+            # without bound; they overflow at once instead
+            if not isinstance(node.value, (int, float)):
+                raise ModelError(f"non-numeric constant {node.value!r} in expression")
+            node.value = float(node.value)
     code = compile(tree, "<limit-state>", "eval")
     base_env = dict(_ALLOWED_FUNCS)
     base_env.update(params)

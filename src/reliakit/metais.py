@@ -20,17 +20,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
+from scipy.special import log_ndtr
 
-from .errors import EstimatorError, SamplerError
+from .errors import EstimatorError
+from .estimators import _beta, _clean, _mean_cov
 from .kriging import (
     KrigingModel,
     _pi_values,
+    _surrogate_chain,
     adaptive_margin_design,
     krig_predict_batch,
 )
 from .limitstate import EvalLedger, LimitState, evaluate_batch
-from .mcmc import slice_sample
 from .probmodel import RandomVector, make_rng
 
 __all__ = [
@@ -66,39 +67,26 @@ class MetaIsResult:
 
     @property
     def beta(self) -> float:
-        if self.pf <= 0.0:
-            return math.inf
-        if self.pf >= 1.0:
-            return -math.inf
-        return float(-ndtri(self.pf))
+        return _beta(self.pf)
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return None
-            if isinstance(v, (np.floating, np.integer)):
-                return clean(v.item())
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
-
-        return {
-            "method": "metais",
-            "pf": clean(float(self.pf)),
-            "beta": clean(self.beta),
-            "pf_epsilon": clean(float(self.pf_epsilon)),
-            "alpha_corr": clean(float(self.alpha_corr)),
-            "cov_epsilon": clean(float(self.cov_epsilon)),
-            "cov_alpha": clean(float(self.cov_alpha)),
-            "cov": clean(float(self.cov_total)),
-            "n_calls_doe": int(self.n_model_calls_doe),
-            "n_calls_corr": int(self.n_model_calls_corr),
-            "n_calls": int(self.n_model_calls_doe + self.n_model_calls_corr),
-            "converged": bool(self.converged),
-            "extras": clean(self.extras),
-        }
+        return _clean(
+            {
+                "method": "metais",
+                "pf": float(self.pf),
+                "beta": self.beta,
+                "pf_epsilon": float(self.pf_epsilon),
+                "alpha_corr": float(self.alpha_corr),
+                "cov_epsilon": float(self.cov_epsilon),
+                "cov_alpha": float(self.cov_alpha),
+                "cov": float(self.cov_total),
+                "n_calls_doe": int(self.n_model_calls_doe),
+                "n_calls_corr": int(self.n_model_calls_corr),
+                "n_calls": int(self.n_model_calls_doe + self.n_model_calls_corr),
+                "converged": bool(self.converged),
+                "extras": self.extras,
+            }
+        )
 
 
 def instrumental_density(model: KrigingModel, rv: RandomVector, x) -> np.ndarray | float:
@@ -130,18 +118,12 @@ def estimate_pf_epsilon(
     """
     if n_eps < 1:
         raise ValueError("n_eps must be >= 1")
-    rng = make_rng(seed)
     parts: list[float] = []
     parts_sq: list[float] = []
-    done = 0
-    while done < n_eps:
-        k = min(batch, n_eps - done)
-        xs = rv.sample(k, scheme="monte_carlo", seed=rng)
-        mu, sd = krig_predict_batch(model, xs)
-        pi = _pi_values(mu, sd)
+    for xs in rv.sample_chunks(n_eps, batch, seed=seed):
+        pi = _pi_values(*krig_predict_batch(model, xs))
         parts.append(float(np.sum(pi)))
         parts_sq.append(float(np.sum(pi * pi)))
-        done += k
     mean = math.fsum(parts) / n_eps
     second = math.fsum(parts_sq) / n_eps
     var = max(second - mean * mean, 0.0) / n_eps
@@ -149,17 +131,11 @@ def estimate_pf_epsilon(
     return mean, cov
 
 
-def _log_pi_standard(model: KrigingModel, rv: RandomVector):
-    """log pi at a standard-space point, via the exact transform."""
-
-    def log_pi(u: np.ndarray) -> float:
-        x = np.atleast_2d(rv.from_standard(u))
-        mu, sd = krig_predict_batch(model, x)
-        if sd[0] == 0.0:
-            return 0.0 if mu[0] <= 0.0 else -math.inf
-        return float(log_ndtr(-mu[0] / sd[0]))
-
-    return log_pi
+def _log_pi(pred) -> float:
+    """log pi at one point; a zero deviation gives the exact indicator."""
+    if pred.sigma == 0.0:
+        return 0.0 if pred.mu <= 0.0 else -math.inf
+    return float(log_ndtr(-pred.mu / pred.sigma))
 
 
 def sample_instrumental(
@@ -179,44 +155,8 @@ def sample_instrumental(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_rng(seed)
-    pts = model.design.points
-    mu_d, sd_d = krig_predict_batch(model, pts)
-    pi_d = _pi_values(mu_d, sd_d)
-    probe = rv.sample(512, scheme="monte_carlo", seed=rng)
-    mu_p, sd_p = krig_predict_batch(model, probe)
-    pi_p = _pi_values(mu_p, sd_p)
-    best_d, best_p = float(np.max(pi_d)), float(np.max(pi_p))
-    if max(best_d, best_p) <= 1e-12:
-        raise SamplerError(
-            "no design or probe point carries appreciable failure "
-            "probability; the instrumental density has no reachable support"
-        )
-    x_start = pts[int(np.argmax(pi_d))] if best_d >= best_p else probe[int(np.argmax(pi_p))]
-    u0 = rv.to_standard(x_start)
-
-    log_pi = _log_pi_standard(model, rv)
-
-    def log_target(u: np.ndarray) -> float:
-        lp = log_pi(u)
-        if lp == -math.inf:
-            return -math.inf
-        return lp - 0.5 * float(u @ u)
-
-    chain = slice_sample(
-        log_target,
-        np.atleast_1d(u0),
-        n,
-        rng,
-        widths=1.0,
-        thin=10,
-        burn_frac=0.2,
-        return_stats=return_stats,
-    )
-    if return_stats:
-        chain, stats = chain
-        return np.atleast_2d(rv.from_standard(chain)), stats
-    return np.atleast_2d(rv.from_standard(chain))
+    xs, stats = _surrogate_chain(model, rv, _pi_values, _log_pi, n, make_rng(seed))
+    return (xs, stats) if return_stats else xs
 
 
 def estimate_alpha_corr(
@@ -224,7 +164,6 @@ def estimate_alpha_corr(
     model: KrigingModel,
     samples_from_h,
     ledger: EvalLedger | None = None,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Correction factor: average of 1{g <= 0} / pi over instrumental draws.
 
@@ -235,23 +174,17 @@ def estimate_alpha_corr(
     preclude it).
     """
     xs = np.atleast_2d(np.asarray(samples_from_h, dtype=float))
-    n = xs.shape[0]
-    g = evaluate_batch(ls, xs, ledger=ledger, threads=threads)
-    mu, sd = krig_predict_batch(model, xs)
-    pi = _pi_values(mu, sd)
+    g = evaluate_batch(ls, xs, ledger=ledger)
+    pi = _pi_values(*krig_predict_batch(model, xs))
     fail = g <= 0.0
     if np.any(fail & (pi <= 0.0)):
         raise EstimatorError(
             "a failing correction sample has zero classification "
             "probability; cannot weight it"
         )
-    w = np.zeros(n)
+    w = np.zeros(xs.shape[0])
     w[fail] = 1.0 / pi[fail]
-    mean = math.fsum(w) / n
-    second = math.fsum(float(v) * float(v) for v in w) / n
-    var = max(second - mean * mean, 0.0) / n
-    cov = math.sqrt(var) / mean if mean > 0.0 else math.inf
-    return mean, cov
+    return _mean_cov(w)
 
 
 def metais_estimate(
@@ -269,7 +202,6 @@ def metais_estimate(
     model: KrigingModel | None = None,
     seed=None,
     ledger: EvalLedger | None = None,
-    threads: int = 1,
 ) -> MetaIsResult:
     """Full pipeline: build or accept a surrogate, then the two-factor estimate.
 
@@ -300,7 +232,6 @@ def metais_estimate(
             trend=trend,
             seed=s_doe,
             ledger=ledger,
-            threads=threads,
         )
         model = doe.model
         n_doe = doe.n_calls
@@ -321,7 +252,7 @@ def metais_estimate(
     samples, stats = sample_instrumental(
         model, rv, n_corr, seed=s_chain, return_stats=True
     )
-    alpha, cov_alpha = estimate_alpha_corr(ls, model, samples, ledger=ledger, threads=threads)
+    alpha, cov_alpha = estimate_alpha_corr(ls, model, samples, ledger=ledger)
     pf = alpha * pf_eps
     cov_total = math.sqrt(cov_alpha * cov_alpha + cov_eps * cov_eps)
     extras["chain_stats"] = stats

@@ -544,14 +544,9 @@ def pce_pf(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_rng(seed)
     nf = 0
-    done = 0
-    while done < n:
-        k = min(batch, n - done)
-        xs = rv.sample(k, scheme="monte_carlo", seed=rng)
+    for xs in rv.sample_chunks(n, batch, seed=seed):
         nf += int(np.count_nonzero(np.asarray(model.predict(xs)) <= 0.0))
-        done += k
     pf = nf / n
     cov = mc_cov(pf, n) if 0.0 < pf < 1.0 else (math.inf if nf == 0 else 0.0)
     return ReliabilityResult(
@@ -566,7 +561,6 @@ def pce_adaptive(
     p_max: int,
     seed=None,
     ledger: EvalLedger | None = None,
-    threads: int = 1,
 ) -> PceModel:
     """Raise the expansion degree until the leave-one-out error is small.
 
@@ -592,7 +586,7 @@ def pce_adaptive(
         have = 0 if pts is None else pts.shape[0]
         if n_target > have:
             new = rv.sample(n_target - have, scheme="latin_hypercube", seed=rng)
-            gnew = evaluate_batch(ls, new, ledger=ledger, threads=threads)
+            gnew = evaluate_batch(ls, new, ledger=ledger)
             total_calls += n_target - have
             pts = new if pts is None else np.vstack([pts, new])
             resp = gnew if resp is None else np.concatenate([resp, gnew])

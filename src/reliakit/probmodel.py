@@ -354,6 +354,17 @@ class RandomVector:
             return self.from_standard(ndtri(np.clip(p, _P_LO, _P_HI)))
         raise ValueError(f"unknown sampling scheme {scheme!r}")
 
+    def sample_chunks(self, n: int, batch: int, seed=None):
+        """Yield n Monte Carlo draws in consecutive blocks of at most batch rows.
+
+        The blocks come from one generator in order, so a given seed and
+        batch size always give the same draws; memory stays bounded by
+        ``batch`` rows whatever n is.
+        """
+        rng = make_rng(seed)
+        for done in range(0, n, batch):
+            yield self.sample(min(batch, n - done), scheme="monte_carlo", seed=rng)
+
     def _check_dim(self, pts: np.ndarray):
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ValueError(

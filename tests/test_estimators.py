@@ -15,6 +15,7 @@ from reliakit import (
     IterationError,
     LimitState,
     Marginal,
+    ModelError,
     RandomVector,
     ReliabilityResult,
     benchmark_linear,
@@ -224,3 +225,9 @@ class TestForm:
         ledger = EvalLedger()
         form(benchmark_linear(2.0, dimension=2), standard_normal_vector(2), ledger=ledger)
         assert ledger.count > 0
+
+    def test_nan_response_raises_model_error(self):
+        # finite at the origin, NaN from u1 = 0.5 on, short of the surface at 2
+        ls = LimitState(2, lambda u: 2.0 - u[0] if u[0] < 0.5 else math.nan)
+        with pytest.raises(ModelError, match="non-finite"):
+            form(ls, standard_normal_vector(2))

@@ -80,35 +80,41 @@ class TestLinearBenchmark:
 
 
 class TestEvaluateBatch:
-    def test_ledger_counts_and_history(self):
+    def test_ledger_counts_and_reset(self):
         ls = benchmark_waarts()
-        ledger = EvalLedger(keep_history=True)
+        ledger = EvalLedger()
         pts = np.random.default_rng(3).normal(size=(37, 2))
         evaluate_batch(ls, pts, ledger=ledger)
         assert ledger.count == 37
-        hp, hv = ledger.history()
-        assert hp.shape == (37, 2)
-        np.testing.assert_allclose(hv, evaluate_batch(ls, pts), rtol=1e-14)
         evaluate_batch(ls, pts[:5], ledger=ledger)
         assert ledger.count == 42
         ledger.reset()
         assert ledger.count == 0
 
-    def test_threads_do_not_change_order_or_values(self):
-        # strip the vector path so the thread pool actually runs
-        base = benchmark_waarts()
-        ls = LimitState(2, base.evaluator, name="slow")
-        pts = np.random.default_rng(4).normal(size=(40, 2))
-        one = evaluate_batch(ls, pts, threads=1)
-        four = evaluate_batch(ls, pts, threads=4)
-        np.testing.assert_array_equal(one, four)
-        np.testing.assert_allclose(one, evaluate_batch(base, pts), rtol=1e-14)
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_batch_with_nonfinite_output_is_counted(self, vector):
+        def g(x):
+            return math.nan if x[0] == 2.0 else 1.0
 
-    def test_threaded_ledger_count(self):
-        ls = LimitState(2, benchmark_waarts().evaluator)
+        vec = (lambda xs: np.array([g(x) for x in xs])) if vector else None
         ledger = EvalLedger()
-        evaluate_batch(ls, np.zeros((25, 2)), ledger=ledger, threads=8)
-        assert ledger.count == 25
+        with pytest.raises(ModelError, match="row 2"):
+            evaluate_batch(LimitState(1, g, vector_evaluator=vec), np.arange(5.0)[:, None], ledger=ledger)
+        assert ledger.count == 5
+
+    def test_raising_evaluator_counts_rows_up_to_the_failure(self):
+        seen = []
+
+        def g(x):
+            seen.append(x[0])
+            return math.log(x[0])
+
+        ledger = EvalLedger()
+        pts = np.array([[1.0], [2.0], [-1.0], [3.0]])
+        with pytest.raises(ModelError, match=r"row 2: array\(\[-1\.\]\)"):
+            evaluate_batch(LimitState(1, g), pts, ledger=ledger)
+        assert seen == [1.0, 2.0, -1.0]
+        assert ledger.count == 3
 
     def test_nonfinite_response_raises(self):
         ls = LimitState(1, lambda x: float("nan") if x[0] > 0 else 1.0)
@@ -130,6 +136,12 @@ class TestExperimentalDesign:
         pts = np.array([[0.0, 0.0], [1e-13, 0.0]])
         with pytest.raises(ValueError):
             ExperimentalDesign(pts, np.zeros(2))
+
+    def test_near_duplicate_rows_that_do_not_sort_together_rejected(self):
+        # sorted by the first coordinate, row 1 sits between rows 0 and 2
+        pts = np.array([[0.0, 5.0], [5e-14, 3.0], [1e-13, 5.0]])
+        with pytest.raises(ValueError, match="rows 0 and 2"):
+            ExperimentalDesign(pts, np.zeros(3))
 
     def test_extended_appends(self):
         d = ExperimentalDesign(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
