@@ -14,6 +14,13 @@ that epistemic deviation drives two enrichment strategies:
 
 Both are packaged as drivers that grow a design until their stopping rule
 fires, with every true-model call counted.
+
+Densities of the form w(x) f_X(x) with 0 <= w <= 1 set by the surrogate
+(the margin density here, the meta-IS instrumental density in
+:mod:`reliakit.metais`) are sampled exactly: batches of input draws are
+predicted at once and each row is kept with probability w.  Only a target
+too rare for that (more than 2,000,000 proposals projected) falls back to
+a slice chain.
 """
 
 from __future__ import annotations
@@ -397,6 +404,11 @@ def krig_predict(model: KrigingModel, x) -> KrigingPrediction:
     return KrigingPrediction(mu=float(mu[0]), sigma=float(math.sqrt(var[0])))
 
 
+def _at(values, pred: KrigingPrediction, *args) -> float:
+    """One prediction through an array measure (``_u_values`` and kin)."""
+    return float(values(np.array([pred.mu]), np.array([pred.sigma]), *args)[0])
+
+
 def u_function(pred: KrigingPrediction) -> float:
     """Sign-uncertainty ratio |mu| / sigma.
 
@@ -404,9 +416,7 @@ def u_function(pred: KrigingPrediction) -> float:
     mu = 0 where the point sits exactly on the predicted boundary and the
     ratio is 0.
     """
-    if pred.sigma == 0.0:
-        return 0.0 if pred.mu == 0.0 else math.inf
-    return abs(pred.mu) / pred.sigma
+    return _at(_u_values, pred)
 
 
 def _u_values(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
@@ -423,9 +433,7 @@ def classification_probability(pred: KrigingPrediction, t: float = 0.0) -> float
     With zero deviation this degenerates to the exact indicator of
     mu <= t.
     """
-    if pred.sigma == 0.0:
-        return 1.0 if pred.mu <= t else 0.0
-    return float(ndtr((t - pred.mu) / pred.sigma))
+    return _at(_pi_values, pred, t)
 
 
 def _pi_values(mu: np.ndarray, sd: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -446,10 +454,7 @@ def margin_probability(pred: KrigingPrediction, k: float) -> float:
     """
     if k <= 0.0:
         raise ValueError("k must be > 0")
-    if pred.sigma == 0.0:
-        return 1.0 if pred.mu == 0.0 else 0.0
-    z = pred.mu / pred.sigma
-    return float(ndtr(k - z) - ndtr(-k - z))
+    return _at(_margin_values, pred, k)
 
 
 def _margin_values(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
@@ -481,17 +486,33 @@ def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
     return pool[int(tied[0])].copy()
 
 
-def _surrogate_chain(model: KrigingModel, rv: RandomVector, weight, log_weight, n, rng):
-    """Slice-sample the density proportional to w(x) f_X(x), w set by the surrogate.
+_FIRST_BATCH = 20_000
+_MAX_BATCH = 100_000
+# Rejection stops paying once a call would need more proposals than this
+# (an acceptance rate below ~1e-4 for a few hundred draws).
+_MAX_PROPOSALS = 2_000_000
 
-    ``weight(mu, sd)`` gives w on arrays of predictions; it picks the start,
-    the design point or one of 512 input draws (the probe) with the largest
-    w, the design winning ties, and :class:`SamplerError` is raised when
-    none reaches 1e-12.  ``log_weight`` gives log w from the
-    :class:`KrigingPrediction` at one point.  The chain runs in independent
-    standard normal coordinates, where the input-density factor is an exact
-    quadratic.  The probe and then the chain draw from ``rng``.  Returns
-    the n draws in physical coordinates and the chain statistics.
+
+def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
+    """Draw n points from the density proportional to w(x) f_X(x), w set by the surrogate.
+
+    ``weight(mu, sd)`` maps arrays of predictions to w in [0, 1].  First the
+    design and 512 input draws (the probe) are weighed; :class:`SamplerError`
+    is raised when none reaches 1e-12.  Then inputs are drawn from f_X in
+    batches and each is accepted with probability w, which is exact i.i.d.
+    sampling because w <= 1; the first n accepted rows are returned in draw
+    order.  The first batch holds 20,000 rows, later ones are sized from the
+    running acceptance rate, capped at 100,000.
+
+    When the projected number of proposals passes 2,000,000 (a rare-event
+    target), the rest is left to a componentwise slice chain in standard
+    normal coordinates, started at the design or probe point with the
+    largest w (the design winning ties); its draws are correlated.
+
+    Everything draws from ``rng``.  Returns the draws in physical
+    coordinates and a record: the ``sampler`` used ("rejection" or
+    "slice"), ``n_proposals`` and ``acceptance`` of the rejection stage,
+    and for "slice" the chain statistics too.
     """
     pts = model.design.points
     w_d = weight(*krig_predict_batch(model, pts))
@@ -503,13 +524,34 @@ def _surrogate_chain(model: KrigingModel, rv: RandomVector, weight, log_weight, 
             "no design or probe point carries appreciable weight; "
             "the target density has no reachable support"
         )
+
+    kept: list[np.ndarray] = []
+    accepted = drawn = 0
+    batch = _FIRST_BATCH
+    while accepted < n:
+        if drawn and drawn * n / max(accepted, 1) > _MAX_PROPOSALS:
+            break
+        xs = rv.sample(batch, scheme="monte_carlo", seed=rng)
+        w = weight(*krig_predict_batch(model, xs))
+        hit = xs[rng.random(batch) < w]
+        kept.append(hit)
+        accepted += hit.shape[0]
+        drawn += batch
+        # aim 10% past the rows still missing at the observed rate
+        batch = _MAX_BATCH if accepted == 0 else min(
+            _MAX_BATCH, max(1_000, math.ceil(1.1 * (n - accepted) * drawn / accepted))
+        )
+    record = {"n_proposals": drawn, "acceptance": accepted / drawn}
+    if accepted >= n:
+        return np.concatenate(kept)[:n], {"sampler": "rejection", **record}
+
     x_start = pts[int(np.argmax(w_d))] if best_d >= best_p else probe[int(np.argmax(w_p))]
 
     def log_target(u):
-        lw = log_weight(krig_predict(model, rv.from_standard(u)))
-        if lw == -math.inf:
+        w = float(weight(*krig_predict_batch(model, rv.from_standard(u)))[0])
+        if w <= 0.0:
             return -math.inf
-        return lw - 0.5 * float(u @ u)
+        return math.log(w) - 0.5 * float(u @ u)
 
     chain, stats = slice_sample(
         log_target,
@@ -521,7 +563,7 @@ def _surrogate_chain(model: KrigingModel, rv: RandomVector, weight, log_weight, 
         burn_frac=0.2,
         return_stats=True,
     )
-    return np.atleast_2d(rv.from_standard(chain)), stats
+    return np.atleast_2d(rv.from_standard(chain)), {"sampler": "slice", **record, **stats}
 
 
 def enrich_margin(
@@ -535,26 +577,22 @@ def enrich_margin(
     """Sample the sign-uncertainty margin and return one point per cluster.
 
     The target density is proportional to (probability of lying in the
-    +-k sigma band) times the input density; a slice-sampling chain draws
-    ``n_chain`` points from it, k-means splits them into ``n_clusters``
-    groups, and the member closest to each centroid is returned (an actual
-    sampled point, never an artificial centroid).
+    +-k sigma band) times the input density.  ``n_chain`` margin draws are
+    taken from it, i.i.d. by rejection from the input density (a slice
+    chain only for a margin too thin for rejection), k-means splits them
+    into ``n_clusters`` groups, and the member closest to each centroid is
+    returned (an actual sampled point, never an artificial centroid).
 
-    Raises :class:`MarginCollapsed` when neither the design nor the chain
-    start region carries any margin probability; adaptive drivers treat
-    that as convergence.
+    Raises :class:`MarginCollapsed` when neither the design nor a probe of
+    the input density carries any margin probability; adaptive drivers
+    treat that as convergence.
     """
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
     rng = make_rng(seed)
-
-    def log_margin(pred):
-        c = margin_probability(pred, k)
-        return math.log(c) if c > 0.0 else -math.inf
-
     try:
-        samples, _ = _surrogate_chain(
-            model, rv, lambda mu, sd: _margin_values(mu, sd, k), log_margin, n_chain, rng
+        samples, _ = _sample_weighted(
+            model, rv, lambda mu, sd: _margin_values(mu, sd, k), n_chain, rng
         )
     except SamplerError as exc:
         raise MarginCollapsed(str(exc)) from None
@@ -743,7 +781,8 @@ def adaptive_margin_design(
     band from the +-k sigma margin, and if the relative band width exceeds
     ``tol`` adds ``n_clusters`` clustered margin samples.  A collapsed
     margin also counts as convergence: the surrogate then classifies the
-    whole input space with certainty at level k.
+    whole input space with certainty at level k.  ``n_chain`` is the number
+    of margin draws clustered per iteration (see :func:`enrich_margin`).
     """
     rng = make_rng(seed)
     s_design, s_fit, s_chain, s_bounds = rng.spawn(4)

@@ -1,9 +1,10 @@
 """Markov chain sampling from unnormalized densities.
 
-One engine serves every consumer in the package: a componentwise slice
-sampler with stepping-out and shrinkage.  It needs only pointwise values
-of an unnormalized log density, which is exactly what the surrogate-based
-targets (margin density, instrumental density) provide.
+A componentwise slice sampler with stepping-out and shrinkage.  It needs
+only pointwise values of an unnormalized log density.  In the package it
+is the rare-event fallback for the surrogate-weighted targets (margin
+density, instrumental density), which are otherwise sampled exactly by
+rejection.
 """
 
 from __future__ import annotations

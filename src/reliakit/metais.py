@@ -12,6 +12,12 @@ averages 1{g <= 0} / pi over draws of the instrumental density, which is
 where the few true-model calls go.  The product is unbiased conditional on
 the surrogate, however coarse the surrogate is; the surrogate quality only
 controls the variance.
+
+Since 0 <= pi <= 1, the instrumental density is sampled exactly by
+rejection: inputs drawn from f_X are kept with probability pi, so the
+correction draws are i.i.d. and the coefficient of variation of
+alpha_corr is exact.  A slice chain takes over only when pf_epsilon is too
+small for rejection (about 1e-4 for the default 200 draws).
 """
 
 from __future__ import annotations
@@ -20,14 +26,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import EstimatorError
 from .estimators import _beta, _clean, _mean_cov
 from .kriging import (
     KrigingModel,
     _pi_values,
-    _surrogate_chain,
+    _sample_weighted,
     adaptive_margin_design,
     krig_predict_batch,
 )
@@ -131,13 +136,6 @@ def estimate_pf_epsilon(
     return mean, cov
 
 
-def _log_pi(pred) -> float:
-    """log pi at one point; a zero deviation gives the exact indicator."""
-    if pred.sigma == 0.0:
-        return 0.0 if pred.mu <= 0.0 else -math.inf
-    return float(log_ndtr(-pred.mu / pred.sigma))
-
-
 def sample_instrumental(
     model: KrigingModel,
     rv: RandomVector,
@@ -145,17 +143,21 @@ def sample_instrumental(
     seed=None,
     return_stats: bool = False,
 ):
-    """Draw n points from the instrumental density by slice sampling.
+    """Draw n points from the instrumental density pi(x) f_X(x).
 
-    The chain runs in independent standard-normal coordinates, where the
-    input-density factor of the target is an exact quadratic, and starts
-    from the design (or probe) point with the largest pi.  Burn-in and
-    thinning follow the shared chain defaults; draws are deterministic per
-    seed.
+    Inputs are drawn from f_X in batches and kept with probability pi, so
+    the draws are i.i.d.; the expected number of proposals is
+    n / pf_epsilon.  When that would pass 2,000,000, a slice chain in
+    standard normal coordinates, started at the design or probe point with
+    the largest pi, supplies the draws instead.  :class:`SamplerError` is
+    raised when no design or probe point has pi >= 1e-12.  Draws are
+    deterministic per seed.  The stats name the ``sampler`` used
+    ("rejection" or "slice") with its ``n_proposals`` and ``acceptance``,
+    plus the chain statistics for "slice".
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    xs, stats = _surrogate_chain(model, rv, _pi_values, _log_pi, n, make_rng(seed))
+    xs, stats = _sample_weighted(model, rv, _pi_values, n, make_rng(seed))
     return (xs, stats) if return_stats else xs
 
 
@@ -209,7 +211,10 @@ def metais_estimate(
     enrichment until its failure-probability band is tighter than ``tol``
     (or the DoE budget runs out).  A supplied ``model`` is used as-is,
     which preserves unbiasedness: the surrogate only shapes the
-    instrumental density, it never replaces the true model.
+    instrumental density, it never replaces the true model.  ``n_chain``
+    is the number of margin draws per enrichment step.  The sampler record
+    of the correction draws (see :func:`sample_instrumental`) is returned
+    under ``extras["sampler_stats"]``.
 
     The three stages (enrichment, normalization sweep, correction
     sampling) draw from independently spawned random streams, so the two
@@ -255,7 +260,7 @@ def metais_estimate(
     alpha, cov_alpha = estimate_alpha_corr(ls, model, samples, ledger=ledger)
     pf = alpha * pf_eps
     cov_total = math.sqrt(cov_alpha * cov_alpha + cov_eps * cov_eps)
-    extras["chain_stats"] = stats
+    extras["sampler_stats"] = stats
     return MetaIsResult(
         pf=pf,
         pf_epsilon=pf_eps,

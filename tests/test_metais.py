@@ -163,7 +163,31 @@ class TestSampler:
         model, rv = ambiguous_waarts_model()
         xs, info = sample_instrumental(model, rv, 100, seed=16, return_stats=True)
         assert xs.shape == (100, 2)
-        assert info["n_sweeps"] > 100
+        assert info["sampler"] == "rejection"
+        assert info["n_proposals"] > 100
+        assert 0.0 < info["acceptance"] <= 1.0
+
+    def test_exact_linear_surrogate_draws_truncated_normal(self):
+        # pi is the exact failure indicator, so h is N(0, 1) truncated to
+        # x1 > 2 in x1 and untouched N(0, 1) in x2, drawn i.i.d.
+        rv = standard_normal_vector(2)
+        model = exact_linear_model(rv, beta0=2.0)
+        xs, info = sample_instrumental(model, rv, 1000, seed=30, return_stats=True)
+        assert info["sampler"] == "rejection"
+        assert info["acceptance"] == pytest.approx(float(ndtr(-2.0)), rel=0.2)
+        assert stats.kstest(xs[:, 0], stats.truncnorm(2.0, np.inf).cdf).pvalue > 0.01
+        assert stats.kstest(xs[:, 1], stats.norm.cdf).pvalue > 0.01
+
+    def test_rare_event_falls_back_to_slice_chain(self):
+        # pf_epsilon = Phi(-4.5) ~ 3.4e-6 would need ~1.5e7 proposals for 50 draws
+        rv = standard_normal_vector(2)
+        model = exact_linear_model(rv, beta0=4.5)
+        xs, info = sample_instrumental(model, rv, 50, seed=31, return_stats=True)
+        assert info["sampler"] == "slice"
+        assert 0 < info["n_proposals"] < 2_000_000
+        assert info["n_sweeps"] > 50
+        assert xs.shape == (50, 2)
+        assert np.all(xs[:, 0] > 4.4)
 
 
 class TestAlphaCorr:
