@@ -18,9 +18,9 @@ fires, with every true-model call counted.
 Densities of the form w(x) f_X(x) with 0 <= w <= 1 set by the surrogate
 (the margin density here, the meta-IS instrumental density in
 :mod:`reliakit.metais`) are sampled exactly: batches of input draws are
-predicted at once and each row is kept with probability w.  Only a target
-too rare for that (more than 2,000,000 proposals projected) falls back to
-a slice chain.
+predicted at once and each row is kept with probability w.  A target too
+rare for that (more than 3,000 proposals per draw and input dimension,
+where a chain draw becomes cheaper) is finished by a slice chain.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def _predict_arrays(model: KrigingModel, xs: np.ndarray) -> tuple[np.ndarray, np
     v = model._gci @ u
     var = model.sigma2 * (1.0 - np.einsum("ij,ij->j", t, t) + np.einsum("ij,ij->j", v, v))
     neg = var < 0.0
-    if np.any(neg):
+    if neg.any():
         worst = float(-var[neg].min())
         if worst > 1e-8 * model.sigma2:
             model.diagnostics["variance_clamp"] = max(
@@ -441,7 +441,7 @@ def _pi_values(mu: np.ndarray, sd: np.ndarray, t: float = 0.0) -> np.ndarray:
         z = (t - mu) / sd
     out = ndtr(z)
     zero = sd == 0.0
-    if np.any(zero):
+    if zero.any():
         out = np.where(zero, (mu <= t).astype(float), out)
     return out
 
@@ -462,7 +462,7 @@ def _margin_values(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
         z = mu / sd
     out = ndtr(k - z) - ndtr(-k - z)
     zero = sd == 0.0
-    if np.any(zero):
+    if zero.any():
         out = np.where(zero, (mu == 0.0).astype(float), out)
     return out
 
@@ -486,11 +486,12 @@ def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
     return pool[int(tied[0])].copy()
 
 
-_FIRST_BATCH = 20_000
-_MAX_BATCH = 100_000
-# Rejection stops paying once a call would need more proposals than this
-# (an acceptance rate below ~1e-4 for a few hundred draws).
-_MAX_PROPOSALS = 2_000_000
+_BATCH = 20_000
+# Past this many proposals per accepted draw and per input dimension, a
+# slice-chain draw (10 sweeps of d component updates) is cheaper than
+# rejection (one row of a batched prediction per proposal).  Timed
+# crossover on four-branch margins and linear surrogates in d = 2 and 6.
+_PROPOSALS_PER_DRAW_PER_DIM = 3_000
 
 
 def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
@@ -499,21 +500,27 @@ def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
     ``weight(mu, sd)`` maps arrays of predictions to w in [0, 1].  First the
     design and 512 input draws (the probe) are weighed; :class:`SamplerError`
     is raised when none reaches 1e-12.  Then inputs are drawn from f_X in
-    batches and each is accepted with probability w, which is exact i.i.d.
-    sampling because w <= 1; the first n accepted rows are returned in draw
-    order.  The first batch holds 20,000 rows, later ones are sized from the
-    running acceptance rate, capped at 100,000.
+    batches of 20,000 and each is accepted with probability w, which is
+    exact i.i.d. sampling because w <= 1; the first n accepted rows are
+    returned in draw order.
 
-    When the projected number of proposals passes 2,000,000 (a rare-event
-    target), the rest is left to a componentwise slice chain in standard
-    normal coordinates, started at the design or probe point with the
-    largest w (the design winning ties); its draws are correlated.
+    Once more than 3,000 d proposals per accepted row have been spent
+    (d the input dimension; a target mass below about 1.7e-4 in 2-D),
+    the rows accepted so far are kept and the missing ones come from
+    componentwise slice chains in standard normal coordinates, one started
+    at each accepted row.  Those draws are exact in distribution but
+    correlated.  When no row was accepted, a single chain with burn-in
+    starts at the design or probe point with the largest w (the design
+    winning ties); it may stay in one mode of a multimodal target.
 
     Everything draws from ``rng``.  Returns the draws in physical
     coordinates and a record: the ``sampler`` used ("rejection" or
     "slice"), ``n_proposals`` and ``acceptance`` of the rejection stage,
-    and for "slice" the chain statistics too.
+    and for "slice" ``n_chains`` and the summed ``n_sweeps`` and
+    ``target_evals``.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     pts = model.design.points
     w_d = weight(*krig_predict_batch(model, pts))
     probe = rv.sample(512, scheme="monte_carlo", seed=rng)
@@ -527,43 +534,51 @@ def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
 
     kept: list[np.ndarray] = []
     accepted = drawn = 0
-    batch = _FIRST_BATCH
-    while accepted < n:
-        if drawn and drawn * n / max(accepted, 1) > _MAX_PROPOSALS:
-            break
-        xs = rv.sample(batch, scheme="monte_carlo", seed=rng)
+    limit = _PROPOSALS_PER_DRAW_PER_DIM * rv.dimension
+    while accepted < n and drawn <= limit * max(accepted, 1):
+        xs = rv.sample(_BATCH, scheme="monte_carlo", seed=rng)
         w = weight(*krig_predict_batch(model, xs))
-        hit = xs[rng.random(batch) < w]
+        hit = xs[rng.random(_BATCH) < w]
         kept.append(hit)
         accepted += hit.shape[0]
-        drawn += batch
-        # aim 10% past the rows still missing at the observed rate
-        batch = _MAX_BATCH if accepted == 0 else min(
-            _MAX_BATCH, max(1_000, math.ceil(1.1 * (n - accepted) * drawn / accepted))
-        )
+        drawn += _BATCH
     record = {"n_proposals": drawn, "acceptance": accepted / drawn}
     if accepted >= n:
         return np.concatenate(kept)[:n], {"sampler": "rejection", **record}
 
-    x_start = pts[int(np.argmax(w_d))] if best_d >= best_p else probe[int(np.argmax(w_p))]
+    missing = n - accepted
+    if accepted:
+        # A chain started at an exact draw stays exactly distributed, so it
+        # needs no burn-in and its draws are unbiased, though correlated.
+        starts, burn = np.concatenate(kept)[:missing], 0.0
+    else:
+        best = pts[int(np.argmax(w_d))] if best_d >= best_p else probe[int(np.argmax(w_p))]
+        starts, burn = best[None, :], 0.2
 
     def log_target(u):
-        w = float(weight(*krig_predict_batch(model, rv.from_standard(u)))[0])
+        mu, var = _predict_arrays(model, np.atleast_2d(rv.from_standard(u)))
+        w = float(weight(mu, np.sqrt(var))[0])
         if w <= 0.0:
             return -math.inf
         return math.log(w) - 0.5 * float(u @ u)
 
-    chain, stats = slice_sample(
-        log_target,
-        rv.to_standard(x_start),
-        n,
-        rng,
-        widths=1.0,
-        thin=10,
-        burn_frac=0.2,
-        return_stats=True,
-    )
-    return np.atleast_2d(rv.from_standard(chain)), {"sampler": "slice", **record, **stats}
+    chains = {"n_chains": starts.shape[0], "n_sweeps": 0, "target_evals": 0}
+    for j, x0 in enumerate(starts):
+        m = missing // starts.shape[0] + (j < missing % starts.shape[0])
+        chain, stats = slice_sample(
+            log_target,
+            rv.to_standard(x0),
+            m,
+            rng,
+            widths=1.0,
+            thin=10,
+            burn_frac=burn,
+            return_stats=True,
+        )
+        kept.append(np.atleast_2d(rv.from_standard(chain)))
+        chains["n_sweeps"] += stats["n_sweeps"]
+        chains["target_evals"] += stats["target_evals"]
+    return np.concatenate(kept), {"sampler": "slice", **record, **chains}
 
 
 def enrich_margin(
@@ -577,11 +592,12 @@ def enrich_margin(
     """Sample the sign-uncertainty margin and return one point per cluster.
 
     The target density is proportional to (probability of lying in the
-    +-k sigma band) times the input density.  ``n_chain`` margin draws are
-    taken from it, i.i.d. by rejection from the input density (a slice
-    chain only for a margin too thin for rejection), k-means splits them
-    into ``n_clusters`` groups, and the member closest to each centroid is
-    returned (an actual sampled point, never an artificial centroid).
+    +-k sigma band) times the input density.  ``n_chain`` (>= 1) margin
+    draws are taken from it by rejection from the input density, i.i.d.
+    unless the margin is so thin that a slice chain supplies the rest (see
+    :func:`_sample_weighted`); k-means splits them into ``n_clusters``
+    groups, and the member closest to each centroid is returned (an actual
+    sampled point, never an artificial centroid).
 
     Raises :class:`MarginCollapsed` when neither the design nor a probe of
     the input density carries any margin probability; adaptive drivers

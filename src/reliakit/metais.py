@@ -16,8 +16,10 @@ controls the variance.
 Since 0 <= pi <= 1, the instrumental density is sampled exactly by
 rejection: inputs drawn from f_X are kept with probability pi, so the
 correction draws are i.i.d. and the coefficient of variation of
-alpha_corr is exact.  A slice chain takes over only when pf_epsilon is too
-small for rejection (about 1e-4 for the default 200 draws).
+alpha_corr is exact.  Once rejection costs more than a chain draw (in 2-D,
+below a pf_epsilon of about 1.7e-4), slice chains started at the draws
+already accepted supply the rest: still unbiased, but correlated, so the
+reported coefficient of variation is then optimistic.
 """
 
 from __future__ import annotations
@@ -147,16 +149,16 @@ def sample_instrumental(
 
     Inputs are drawn from f_X in batches and kept with probability pi, so
     the draws are i.i.d.; the expected number of proposals is
-    n / pf_epsilon.  When that would pass 2,000,000, a slice chain in
-    standard normal coordinates, started at the design or probe point with
-    the largest pi, supplies the draws instead.  :class:`SamplerError` is
-    raised when no design or probe point has pi >= 1e-12.  Draws are
-    deterministic per seed.  The stats name the ``sampler`` used
-    ("rejection" or "slice") with its ``n_proposals`` and ``acceptance``,
-    plus the chain statistics for "slice".
+    n / pf_epsilon.  Once more than 3,000 proposals per accepted draw and
+    input dimension have been spent, slice chains in standard normal
+    coordinates, started at the accepted draws (at the design or probe
+    point with the largest pi when there is none), supply the draws still
+    missing.  :class:`SamplerError` is raised when no design or probe point
+    has pi >= 1e-12, ``ValueError`` when n < 1.  Draws are deterministic
+    per seed.  The stats name the ``sampler`` used ("rejection" or "slice")
+    with its ``n_proposals`` and ``acceptance``, plus ``n_chains``,
+    ``n_sweeps`` and ``target_evals`` for "slice".
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     xs, stats = _sample_weighted(model, rv, _pi_values, n, make_rng(seed))
     return (xs, stats) if return_stats else xs
 

@@ -255,7 +255,7 @@ class RandomVector:
         single = u.ndim == 1
         pts = np.atleast_2d(u)
         self._check_dim(pts)
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise DomainError("standard-space point has non-finite components")
         z = pts @ self._chol.T if self._chol is not None else pts
         x = np.empty_like(z)

@@ -355,6 +355,12 @@ class TestEnrichment:
         b = enrich_margin(model, rv, seed=9)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n_chain", [0, -3])
+    def test_margin_enrichment_needs_a_draw(self, n_chain):
+        model, rv = self.waarts_model()
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            enrich_margin(model, rv, n_chain=n_chain, seed=9)
+
     def test_margin_collapse_on_certain_surrogate(self):
         # responses exactly in the trend span make sigma2 = 0, so no point
         # carries any margin probability

@@ -179,15 +179,60 @@ class TestSampler:
         assert stats.kstest(xs[:, 1], stats.norm.cdf).pvalue > 0.01
 
     def test_rare_event_falls_back_to_slice_chain(self):
-        # pf_epsilon = Phi(-4.5) ~ 3.4e-6 would need ~1.5e7 proposals for 50 draws
+        # pf_epsilon = Phi(-4.5) ~ 3.4e-6 would need ~1.5e7 proposals for 50
+        # draws; the switch comes after a few batches at most
         rv = standard_normal_vector(2)
         model = exact_linear_model(rv, beta0=4.5)
         xs, info = sample_instrumental(model, rv, 50, seed=31, return_stats=True)
         assert info["sampler"] == "slice"
-        assert 0 < info["n_proposals"] < 2_000_000
+        assert 0 < info["n_proposals"] < 100_000
         assert info["n_sweeps"] > 50
         assert xs.shape == (50, 2)
         assert np.all(xs[:, 0] > 4.4)
+
+    def test_fallback_keeps_the_rows_already_accepted(self, monkeypatch):
+        # with the switch forced after one batch, the rejection rows come
+        # first, exactly as rejection alone draws them, and the chain adds
+        # the rest
+        from reliakit import kriging
+
+        rv = standard_normal_vector(2)
+        model = exact_linear_model(rv, beta0=2.0)
+        alone = sample_instrumental(model, rv, 1000, seed=32)
+        monkeypatch.setattr(kriging, "_PROPOSALS_PER_DRAW_PER_DIM", 1)
+        xs, info = sample_instrumental(model, rv, 1000, seed=32, return_stats=True)
+        kept = round(info["acceptance"] * info["n_proposals"])
+        assert info["sampler"] == "slice"
+        assert 0 < kept < 1000
+        assert info["n_chains"] == kept
+        assert xs.shape == (1000, 2)
+        np.testing.assert_array_equal(xs[:kept], alone[:kept])
+        assert np.all(xs[:, 0] > 2.0)
+
+    def test_fallback_chains_keep_the_mode_weights(self, monkeypatch):
+        # w = 1{|x1| > 2.5} has two equal modes that no slice chain crosses;
+        # chains started at the accepted rows still split their draws evenly
+        from reliakit import kriging
+
+        rv = standard_normal_vector(2)
+        model = exact_linear_model(rv, beta0=2.0)  # mean 2 - x1
+        monkeypatch.setattr(kriging, "_PROPOSALS_PER_DRAW_PER_DIM", 1)
+        xs, info = kriging._sample_weighted(
+            model,
+            rv,
+            lambda mu, sd: (np.abs(mu - 2.0) > 2.5).astype(float),
+            2000,
+            np.random.default_rng(34),
+        )
+        assert info["sampler"] == "slice"
+        assert info["acceptance"] * info["n_proposals"] < 500
+        assert np.all(np.abs(xs[:, 0]) > 2.5)
+        assert 0.4 < float(np.mean(xs[:, 0] > 0.0)) < 0.6
+
+    def test_zero_draws_rejected(self):
+        model, rv = ambiguous_waarts_model()
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_instrumental(model, rv, 0, seed=33)
 
 
 class TestAlphaCorr:
