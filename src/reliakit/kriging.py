@@ -20,7 +20,7 @@ Densities of the form w(x) f_X(x) with 0 <= w <= 1 set by the surrogate
 :mod:`reliakit.metais`) are sampled exactly: batches of input draws are
 predicted at once and each row is kept with probability w.  A target too
 rare for that (more than 3,000 proposals per draw and input dimension,
-where a chain draw becomes cheaper) is finished by a slice chain.
+where a chain draw becomes cheaper) is finished by slice chains.
 """
 
 from __future__ import annotations
@@ -504,7 +504,7 @@ def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
     exact i.i.d. sampling because w <= 1; the first n accepted rows are
     returned in draw order.
 
-    Once more than 3,000 d proposals per accepted row have been spent
+    Once more than 3,000 · d proposals per accepted row have been spent
     (d the input dimension; a target mass below about 1.7e-4 in 2-D),
     the rows accepted so far are kept and the missing ones come from
     componentwise slice chains in standard normal coordinates, one started

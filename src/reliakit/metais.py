@@ -17,9 +17,9 @@ Since 0 <= pi <= 1, the instrumental density is sampled exactly by
 rejection: inputs drawn from f_X are kept with probability pi, so the
 correction draws are i.i.d. and the coefficient of variation of
 alpha_corr is exact.  Once rejection costs more than a chain draw (in 2-D,
-below a pf_epsilon of about 1.7e-4), slice chains started at the draws
-already accepted supply the rest: still unbiased, but correlated, so the
-reported coefficient of variation is then optimistic.
+below a pf_epsilon of about 1.7e-4), slice chains supply the rest.  Chains
+started at draws already accepted stay unbiased, but their draws are
+correlated, so the reported coefficient of variation is then optimistic.
 """
 
 from __future__ import annotations
