@@ -31,7 +31,6 @@ from .kriging import (
     AdaptiveResult,
     CorrelationKernel,
     KrigingModel,
-    KrigingPrediction,
     adaptive_margin_design,
     ak_mcs,
     classification_probability,
@@ -44,7 +43,6 @@ from .kriging import (
     krig_fit,
     krig_from_json,
     krig_pf_bounds,
-    krig_predict,
     krig_predict_batch,
     krig_to_json,
     margin_probability,

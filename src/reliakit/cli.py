@@ -285,132 +285,98 @@ def _apply_overrides(method: dict, overrides: list[str]) -> dict:
     return out
 
 
+_CASTS = {"integer": int, "number": float}
+
+
+def _typed_options(method: dict) -> dict:
+    """The method's options, each cast to the type its schema names.
+
+    jsonschema accepts 200.0 as an "integer", so integers are cast to int
+    here, once, before any option reaches a slice or a loop bound.
+    """
+    schema = _METHOD_OPTION_SCHEMAS.get(method["name"])
+    if schema is None:
+        raise ConfigError(f"unknown method {method['name']!r}")
+    return {
+        key: _CASTS.get(schema[key].get("type"), lambda v: v)(val)
+        for key, val in method.items()
+        if key != "name"
+    }
+
+
+def _instrumental(rv: RandomVector, spec: dict) -> InstrumentalDensity:
+    if spec["type"] == "input":
+        return InstrumentalDensity.from_random_vector(rv)
+    opts = {key: val for key, val in spec.items() if key != "type"}
+    center = np.asarray(opts.pop("center"), dtype=float)
+    if center.size != rv.dimension:
+        raise ConfigError("instrumental center has the wrong dimension")
+    return InstrumentalDensity.gaussian_centered(center, **opts)
+
+
 def _run_method(
     ls: LimitState,
     rv: RandomVector,
     method: dict,
     seed: int,
 ) -> dict:
+    """Run one configured method; options left out take the library defaults."""
     name = method["name"]
+    opts = _typed_options(method)
     ledger = EvalLedger()
     rng = make_rng(seed)
     if name == "mc":
-        res = estimate_mc(ls, rv, int(method.get("n", 100_000)), seed=rng, ledger=ledger)
-        return res.to_dict()
+        return estimate_mc(ls, rv, opts.get("n", 100_000), seed=rng, ledger=ledger).to_dict()
     if name == "is":
-        spec = method.get("instrumental", {"type": "input"})
-        if spec["type"] == "input":
-            inst = InstrumentalDensity.from_random_vector(rv)
-        else:
-            center = np.asarray(spec["center"], dtype=float)
-            if center.size != rv.dimension:
-                raise ConfigError("instrumental center has the wrong dimension")
-            inst = InstrumentalDensity.gaussian_centered(center, spec.get("std", 1.0))
-        res = estimate_is(ls, inst, lambda xs: np.asarray(rv.joint_pdf(xs)),
-                          int(method.get("n", 10_000)), seed=rng, ledger=ledger)
-        return res.to_dict()
+        inst = _instrumental(rv, opts.get("instrumental", {"type": "input"}))
+        return estimate_is(ls, inst, lambda xs: np.asarray(rv.joint_pdf(xs)),
+                           opts.get("n", 10_000), seed=rng, ledger=ledger).to_dict()
     if name == "fosm":
-        return cornell_index(ls, rv, step=float(method.get("step", 1e-6)),
-                             ledger=ledger).to_dict()
+        return cornell_index(ls, rv, ledger=ledger, **opts).to_dict()
     if name == "form":
-        return form(
-            ls,
-            rv,
-            tol=float(method.get("tol", 1e-8)),
-            gtol=float(method.get("gtol", 1e-8)),
-            max_iter=int(method.get("max_iter", 100)),
-            ledger=ledger,
-        ).to_dict()
+        return form(ls, rv, ledger=ledger, **opts).to_dict()
+    if name == "metais":
+        doc = metais_estimate(ls, rv, seed=rng, ledger=ledger, **opts).to_dict()
+        doc["extras"].pop("doe_trace", None)
+        return doc
+    if name == "ak":
+        k = opts.pop("k", 1.96)
+        n_bounds = opts.pop("n_bounds", 1_000_000)
+        res = ak_mcs(ls, rv, seed=rng, ledger=ledger, **opts)
+        lo, mid, hi = krig_pf_bounds(res.model, rv, k=k, n=n_bounds, seed=rng)
+        cov = mc_cov(mid, n_bounds) if 0.0 < mid < 1.0 else math.inf
+        extras = {
+            "pf_lower": lo,
+            "pf_upper": hi,
+            "spread": (hi - lo) / mid if mid > 0 else None,
+            "converged": res.converged,
+            "stop_reason": res.stop_reason,
+            "n_surrogate": n_bounds,
+        }
+        return ReliabilityResult(mid, cov, res.n_calls, "ak", extras).to_dict()
+    # qrs and pce: fit a surrogate on a design, then sweep it by Monte Carlo
+    n_sur = opts.get("n_surrogate", 1_000_000)
     if name == "qrs":
-        p = qrs_n_coeffs(rv.dimension, bool(method.get("include_cross", True)))
-        n_design = int(method.get("n_design", 3 * p))
+        cross = opts.get("include_cross", True)
+        n_design = opts.get("n_design", 3 * qrs_n_coeffs(rv.dimension, cross))
         pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)
-        g = evaluate_batch(ls, pts, ledger=ledger)
-        surf = qrs_fit(pts, g, include_cross=bool(method.get("include_cross", True)))
-        n_sur = int(method.get("n_surrogate", 1_000_000))
+        surf = qrs_fit(pts, evaluate_batch(ls, pts, ledger=ledger), include_cross=cross)
         sur = estimate_mc(surf.to_limit_state(), rv, n_sur, seed=rng)
-        out = ReliabilityResult(
-            pf=sur.pf,
-            cov=sur.cov,
-            n_calls=ledger.count,
-            method="qrs",
-            extras={"n_surrogate": n_sur, "fit": surf.diagnostics},
-        )
-        return out.to_dict()
-    if name == "pce":
-        n_sur = int(method.get("n_surrogate", 1_000_000))
-        if "target_error" in method:
-            model = pce_adaptive(
-                ls,
-                rv,
-                target_err=float(method["target_error"]),
-                p_max=int(method.get("p_max", 5)),
-                seed=rng,
-                ledger=ledger,
-            )
+        fit = surf.diagnostics
+    else:
+        if "target_error" in opts:
+            model = pce_adaptive(ls, rv, target_err=opts["target_error"],
+                                 p_max=opts.get("p_max", 5), seed=rng, ledger=ledger)
         else:
-            basis = basis_for(rv, int(method.get("degree", 3)))
-            n_design = int(method.get("n_factor", 2)) * basis.size
+            basis = basis_for(rv, opts.get("degree", 3))
+            n_design = opts.get("n_factor", 2) * basis.size
             pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)
             g = evaluate_batch(ls, pts, ledger=ledger)
             model = pce_fit_regression(rv, basis, ExperimentalDesign(pts, g))
         sur = pce_pf(model, rv, n_sur, seed=rng)
-        out = ReliabilityResult(
-            pf=sur.pf,
-            cov=sur.cov,
-            n_calls=ledger.count,
-            method="pce",
-            extras={"n_surrogate": n_sur, "fit": dict(model.diagnostics)},
-        )
-        return out.to_dict()
-    if name == "ak":
-        k = float(method.get("k", 1.96))
-        res = ak_mcs(
-            ls,
-            rv,
-            n_pool=int(method.get("n_pool", 10_000)),
-            u_stop=float(method.get("u_stop", 2.0)),
-            budget=int(method.get("budget", 150)),
-            seed=rng,
-            ledger=ledger,
-        )
-        n_bounds = int(method.get("n_bounds", 1_000_000))
-        lo, mid, hi = krig_pf_bounds(res.model, rv, k=k, n=n_bounds, seed=rng)
-        cov = mc_cov(mid, n_bounds) if 0.0 < mid < 1.0 else math.inf
-        out = ReliabilityResult(
-            pf=mid,
-            cov=cov,
-            n_calls=res.n_calls,
-            method="ak",
-            extras={
-                "pf_lower": lo,
-                "pf_upper": hi,
-                "spread": (hi - lo) / mid if mid > 0 else None,
-                "converged": res.converged,
-                "stop_reason": res.stop_reason,
-                "n_surrogate": n_bounds,
-            },
-        )
-        return out.to_dict()
-    if name == "metais":
-        res = metais_estimate(
-            ls,
-            rv,
-            n_epsilon=int(method.get("n_epsilon", 100_000)),
-            n_corr=int(method.get("n_corr", 200)),
-            k=float(method.get("k", 1.96)),
-            n_clusters=int(method.get("n_clusters", 4)),
-            tol=float(method.get("tol", 0.10)),
-            budget=int(method.get("budget", 100)),
-            n_bounds=int(method.get("n_bounds", 50_000)),
-            n_chain=int(method.get("n_chain", 250)),
-            seed=rng,
-            ledger=ledger,
-        )
-        doc = res.to_dict()
-        doc["extras"].pop("doe_trace", None)
-        return doc
-    raise ConfigError(f"unknown method {name!r}")
+        fit = dict(model.diagnostics)
+    extras = {"n_surrogate": n_sur, "fit": fit}
+    return ReliabilityResult(sur.pf, sur.cov, ledger.count, name, extras).to_dict()
 
 
 def _summary_line(doc: dict) -> str:

@@ -3,17 +3,22 @@
 The surrogate is a trend (constant or linear) plus a stationary Gaussian
 process.  Fitting maximizes the profiled log-likelihood over the kernel
 lengthscales; the trend coefficients and process variance then follow in
-closed form.  Prediction returns both a mean and a standard deviation, and
-that epistemic deviation drives two enrichment strategies:
+closed form.  Prediction (:func:`krig_predict_batch`, one row or many)
+returns both a mean and a standard deviation.  The measures built on them
+(:func:`u_function`, :func:`classification_probability`,
+:func:`margin_probability`) take arrays of means and deviations, and that
+epistemic deviation drives two enrichment strategies:
 
 * deviation-to-mean ratio ("U"): add the candidate whose sign is most
-  uncertain, the classic one-point-per-iteration scheme;
+  uncertain, the classic one-point-per-iteration scheme (AK-MCS);
 * margin sampling: draw points from the density proportional to
   (probability of lying inside the +-k sigma margin) times the input
   density, cluster the draws, and add one point per cluster.
 
-Both are packaged as drivers that grow a design until their stopping rule
-fires, with every true-model call counted.
+Both methods run one shared loop that evaluates the initial design, refits
+the surrogate, lets the strategy judge it and pick new points, and stops on
+the strategy's criterion or the call budget, with every true-model call
+counted.
 
 Densities of the form w(x) f_X(x) with 0 <= w <= 1 set by the surrogate
 (the margin density here, the meta-IS instrumental density in
@@ -25,6 +30,7 @@ where a chain draw becomes cheaper) is finished by slice chains.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -45,11 +51,9 @@ __all__ = [
     "CorrelationKernel",
     "kernel_matrix",
     "kernel_cross",
-    "KrigingPrediction",
     "KrigingModel",
     "krig_build",
     "krig_fit",
-    "krig_predict",
     "krig_predict_batch",
     "u_function",
     "classification_probability",
@@ -130,14 +134,6 @@ def _trend_matrix(trend: str, points: np.ndarray) -> np.ndarray:
     if trend == "linear":
         return np.hstack([np.ones((points.shape[0], 1)), points])
     raise ValueError(f"unknown trend {trend!r} (use 'constant' or 'linear')")
-
-
-@dataclass(frozen=True)
-class KrigingPrediction:
-    """Predictive mean and standard deviation at one point."""
-
-    mu: float
-    sigma: float
 
 
 @dataclass
@@ -397,29 +393,13 @@ def krig_predict_batch(model: KrigingModel, xs, chunk: int = 20_000):
     return mu, sd
 
 
-def krig_predict(model: KrigingModel, x) -> KrigingPrediction:
-    """Predictive mean and deviation at a single point."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    mu, var = _predict_arrays(model, x)
-    return KrigingPrediction(mu=float(mu[0]), sigma=float(math.sqrt(var[0])))
-
-
-def _at(values, pred: KrigingPrediction, *args) -> float:
-    """One prediction through an array measure (``_u_values`` and kin)."""
-    return float(values(np.array([pred.mu]), np.array([pred.sigma]), *args)[0])
-
-
-def u_function(pred: KrigingPrediction) -> float:
-    """Sign-uncertainty ratio |mu| / sigma.
+def u_function(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Sign-uncertainty ratio |mu| / sd, elementwise.
 
     Zero deviation means the sign is certain: the ratio is +inf, except at
     mu = 0 where the point sits exactly on the predicted boundary and the
     ratio is 0.
     """
-    return _at(_u_values, pred)
-
-
-def _u_values(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.abs(mu) / sd
     u[(sd == 0.0) & (mu == 0.0)] = 0.0
@@ -427,16 +407,12 @@ def _u_values(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return u
 
 
-def classification_probability(pred: KrigingPrediction, t: float = 0.0) -> float:
-    """Probability that the true response at this point lies below t.
+def classification_probability(mu: np.ndarray, sd: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """Probability that the true response lies below t, elementwise.
 
     With zero deviation this degenerates to the exact indicator of
     mu <= t.
     """
-    return _at(_pi_values, pred, t)
-
-
-def _pi_values(mu: np.ndarray, sd: np.ndarray, t: float = 0.0) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (t - mu) / sd
     out = ndtr(z)
@@ -446,18 +422,14 @@ def _pi_values(mu: np.ndarray, sd: np.ndarray, t: float = 0.0) -> np.ndarray:
     return out
 
 
-def margin_probability(pred: KrigingPrediction, k: float) -> float:
+def margin_probability(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
     """Probability that the true response lies within +-k deviations of 0.
 
-    This is the chance the point falls in the band where the surrogate's
-    sign classification is still uncertain at level k.
+    This is the chance a point falls in the band where the surrogate's
+    sign classification is still uncertain at level k; elementwise.
     """
     if k <= 0.0:
         raise ValueError("k must be > 0")
-    return _at(_margin_values, pred, k)
-
-
-def _margin_values(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         z = mu / sd
     out = ndtr(k - z) - ndtr(-k - z)
@@ -465,6 +437,12 @@ def _margin_values(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
     if zero.any():
         out = np.where(zero, (mu == 0.0).astype(float), out)
     return out
+
+
+def _most_uncertain(u: np.ndarray, sd: np.ndarray) -> int:
+    """Row with the smallest U; exact ties go to the larger sd, then the lowest row."""
+    tied = np.flatnonzero(u == u.min())
+    return int(tied[np.argmax(sd[tied])])
 
 
 def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
@@ -477,13 +455,7 @@ def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
     if pool.shape[0] == 0:
         raise ValueError("candidate pool is empty")
     mu, sd = krig_predict_batch(model, pool)
-    u = _u_values(mu, sd)
-    umin = np.min(u)
-    tied = np.flatnonzero(u == umin)
-    if tied.size > 1:
-        smax = np.max(sd[tied])
-        tied = tied[sd[tied] == smax]
-    return pool[int(tied[0])].copy()
+    return pool[_most_uncertain(u_function(mu, sd), sd)].copy()
 
 
 _BATCH = 20_000
@@ -608,7 +580,7 @@ def enrich_margin(
     rng = make_rng(seed)
     try:
         samples, _ = _sample_weighted(
-            model, rv, lambda mu, sd: _margin_values(mu, sd, k), n_chain, rng
+            model, rv, lambda mu, sd: margin_probability(mu, sd, k), n_chain, rng
         )
     except SamplerError as exc:
         raise MarginCollapsed(str(exc)) from None
@@ -701,11 +673,45 @@ class AdaptiveResult:
     trace: list[dict] = field(default_factory=list)
 
 
-def _spread(bounds: tuple[float, float, float]) -> float:
-    lo, mid, hi = bounds
-    if mid <= 0.0:
-        return math.inf
-    return (hi - lo) / mid
+def _enrich(ls, rv, n0, budget, trend, refit_starts, s_design, s_fit, ledger, step, full_every):
+    """The loop both adaptive methods share: refit, judge, add points.
+
+    The initial design of n0 points is evaluated, then each round refits the
+    surrogate (5 starts every ``full_every`` fits, else ``refit_starts``
+    from the last lengthscales) and calls ``step(model)``, which returns its
+    trace entry, a converged stop reason or None, and ``pick(room)``.  The
+    loop stops on that reason, then on the budget, then on a
+    :class:`MarginCollapsed` from ``pick``; otherwise it evaluates the
+    points ``pick`` returns (possibly none) and goes round again.
+    """
+    if budget < n0:
+        raise ValueError(f"budget {budget} is below the initial design size {n0}")
+    pts = initial_design(rv, n0, seed=s_design)
+    design = ExperimentalDesign(pts, evaluate_batch(ls, pts, ledger=ledger))
+    theta = None
+    trace: list[dict] = []
+    for fits in itertools.count():
+        model = krig_fit(
+            design,
+            trend=trend,
+            theta0=theta,
+            n_starts=5 if fits % full_every == 0 else refit_starts,
+            seed=s_fit.spawn(1)[0],
+        )
+        theta = model.kernel.theta
+        entry, stop, pick = step(model)
+        trace.append({"n_calls": design.size, **entry})
+        if stop is None and design.size >= budget:
+            stop = "budget"
+        if stop is None:
+            try:
+                new_pts = pick(budget - design.size)
+            except MarginCollapsed:
+                stop = "margin_collapsed"
+        if stop is not None:
+            return AdaptiveResult(model, design.size, stop != "budget", stop, trace)
+        if new_pts.shape[0]:
+            design = design.extended(new_pts, evaluate_batch(ls, new_pts, ledger=ledger))
 
 
 def ak_mcs(
@@ -726,55 +732,33 @@ def ak_mcs(
     repeatedly adds the pool point with the most uncertain sign until every
     pool point has |mu| >= u_stop deviations (the misclassification
     probability of the pool is then below Phi(-u_stop) pointwise) or the
-    call budget is exhausted.
+    call budget is exhausted.  A picked point that coincides with a design
+    point is skipped without a call, and the surrogate is refitted.
     """
     rng = make_rng(seed)
     s_design, s_pool, s_fit = rng.spawn(3)
-    m = rv.dimension
-    n0 = max(12, 3 * m) if n_initial is None else int(n_initial)
-    if budget < n0:
-        raise ValueError(f"budget {budget} is below the initial design size {n0}")
-    pts = initial_design(rv, n0, seed=s_design)
-    resp = evaluate_batch(ls, pts, ledger=ledger)
-    design = ExperimentalDesign(pts, resp)
+    n0 = max(12, 3 * rv.dimension) if n_initial is None else int(n_initial)
     pool = rv.sample(n_pool, scheme="monte_carlo", seed=s_pool)
-
-    theta = None
-    trace: list[dict] = []
     added: set[int] = set()
-    iteration = 0
-    while True:
-        full = theta is None or iteration % 10 == 0
-        model = krig_fit(
-            design,
-            trend=trend,
-            theta0=theta,
-            n_starts=5 if full else refit_starts,
-            seed=s_fit.spawn(1)[0],
-        )
-        theta = model.kernel.theta
-        iteration += 1
+
+    def step(model):
         mu, sd = krig_predict_batch(model, pool)
-        u = _u_values(mu, sd)
+        u = u_function(mu, sd)
         if added:
             u[list(added)] = math.inf
         min_u = float(np.min(u))
-        pf_pool = float(np.count_nonzero(mu <= 0.0)) / n_pool
-        trace.append(
-            {"n_calls": design.size, "min_u": min_u, "pf_pool": pf_pool}
-        )
-        if min_u >= u_stop:
-            return AdaptiveResult(model, design.size, True, "u_threshold", trace)
-        if design.size >= budget:
-            return AdaptiveResult(model, design.size, False, "budget", trace)
-        pick = int(np.argmin(u))
-        added.add(pick)
-        new_pt = pool[pick]
-        if not _is_new_point(new_pt, design.points, []):
-            # Coincides with an existing design point; skip it next round.
-            continue
-        g_new = evaluate_batch(ls, new_pt.reshape(1, -1), ledger=ledger)
-        design = design.extended(new_pt.reshape(1, -1), g_new)
+        entry = {"min_u": min_u, "pf_pool": float(np.count_nonzero(mu <= 0.0)) / n_pool}
+
+        def pick(room):
+            j = _most_uncertain(u, sd)
+            added.add(j)
+            return pool[j : j + 1] if _is_new_point(pool[j], model.design.points, []) else pool[:0]
+
+        return entry, "u_threshold" if min_u >= u_stop else None, pick
+
+    return _enrich(
+        ls, rv, n0, budget, trend, refit_starts, s_design, s_fit, ledger, step, full_every=10
+    )
 
 
 def adaptive_margin_design(
@@ -802,57 +786,24 @@ def adaptive_margin_design(
     """
     rng = make_rng(seed)
     s_design, s_fit, s_chain, s_bounds = rng.spawn(4)
-    m = rv.dimension
-    n0 = max(12, 3 * m)
-    if budget < n0:
-        raise ValueError(f"budget {budget} is below the initial design size {n0}")
-    pts = initial_design(rv, n0, seed=s_design)
-    resp = evaluate_batch(ls, pts, ledger=ledger)
-    design = ExperimentalDesign(pts, resp)
 
-    theta = None
-    trace: list[dict] = []
-    iteration = 0
-    while True:
-        full = theta is None or iteration % 4 == 0
-        model = krig_fit(
-            design,
-            trend=trend,
-            theta0=theta,
-            n_starts=5 if full else refit_starts,
-            seed=s_fit.spawn(1)[0],
-        )
-        theta = model.kernel.theta
-        iteration += 1
-        bounds = krig_pf_bounds(model, rv, k=k, n=n_bounds, seed=s_bounds.spawn(1)[0])
-        spread = _spread(bounds)
-        trace.append(
-            {
-                "n_calls": design.size,
-                "pf_lower": bounds[0],
-                "pf_central": bounds[1],
-                "pf_upper": bounds[2],
-                "spread": spread,
-            }
-        )
-        if spread <= tol:
-            return AdaptiveResult(model, design.size, True, "bounds_tight", trace)
-        if design.size >= budget:
-            return AdaptiveResult(model, design.size, False, "budget", trace)
-        room = budget - design.size
-        try:
-            new_pts = enrich_margin(
-                model,
-                rv,
-                k=k,
-                n_chain=n_chain,
-                n_clusters=min(n_clusters, room),
+    def step(model):
+        lo, mid, hi = krig_pf_bounds(model, rv, k=k, n=n_bounds, seed=s_bounds.spawn(1)[0])
+        spread = (hi - lo) / mid if mid > 0.0 else math.inf
+        entry = {"pf_lower": lo, "pf_central": mid, "pf_upper": hi, "spread": spread}
+
+        def pick(room):
+            return enrich_margin(
+                model, rv, k=k, n_chain=n_chain, n_clusters=min(n_clusters, room),
                 seed=s_chain.spawn(1)[0],
             )
-        except MarginCollapsed:
-            return AdaptiveResult(model, design.size, True, "margin_collapsed", trace)
-        g_new = evaluate_batch(ls, new_pts, ledger=ledger)
-        design = design.extended(new_pts, g_new)
+
+        return entry, "bounds_tight" if spread <= tol else None, pick
+
+    n0 = max(12, 3 * rv.dimension)
+    return _enrich(
+        ls, rv, n0, budget, trend, refit_starts, s_design, s_fit, ledger, step, full_every=4
+    )
 
 
 def krig_to_json(model: KrigingModel) -> str:

@@ -33,9 +33,9 @@ from .errors import EstimatorError
 from .estimators import _beta, _clean, _mean_cov
 from .kriging import (
     KrigingModel,
-    _pi_values,
     _sample_weighted,
     adaptive_margin_design,
+    classification_probability,
     krig_predict_batch,
 )
 from .limitstate import EvalLedger, LimitState, evaluate_batch
@@ -107,7 +107,7 @@ def instrumental_density(model: KrigingModel, rv: RandomVector, x) -> np.ndarray
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     mu, sd = krig_predict_batch(model, pts)
-    vals = _pi_values(mu, sd) * np.asarray(rv.joint_pdf(pts))
+    vals = classification_probability(mu, sd) * np.asarray(rv.joint_pdf(pts))
     return float(vals[0]) if single else vals
 
 
@@ -128,7 +128,7 @@ def estimate_pf_epsilon(
     parts: list[float] = []
     parts_sq: list[float] = []
     for xs in rv.sample_chunks(n_eps, batch, seed=seed):
-        pi = _pi_values(*krig_predict_batch(model, xs))
+        pi = classification_probability(*krig_predict_batch(model, xs))
         parts.append(float(np.sum(pi)))
         parts_sq.append(float(np.sum(pi * pi)))
     mean = math.fsum(parts) / n_eps
@@ -159,7 +159,7 @@ def sample_instrumental(
     with its ``n_proposals`` and ``acceptance``, plus ``n_chains``,
     ``n_sweeps`` and ``target_evals`` for "slice".
     """
-    xs, stats = _sample_weighted(model, rv, _pi_values, n, make_rng(seed))
+    xs, stats = _sample_weighted(model, rv, classification_probability, n, make_rng(seed))
     return (xs, stats) if return_stats else xs
 
 
@@ -179,7 +179,7 @@ def estimate_alpha_corr(
     """
     xs = np.atleast_2d(np.asarray(samples_from_h, dtype=float))
     g = evaluate_batch(ls, xs, ledger=ledger)
-    pi = _pi_values(*krig_predict_batch(model, xs))
+    pi = classification_probability(*krig_predict_batch(model, xs))
     fail = g <= 0.0
     if np.any(fail & (pi <= 0.0)):
         raise EstimatorError(

@@ -46,9 +46,12 @@ from reliakit import (
     truncation_set,
 )
 
-# reference failure probability of the four-branch benchmark, from a
-# 1e-13-accurate quadrature of the rotated-coordinate tail integrals
-FOUR_BRANCH_PF = 2.26e-3
+# reference failure probability of the four-branch benchmark.  In rotated
+# coordinates s = (x1 + x2)/sqrt(2), t = (x1 - x2)/sqrt(2) failure is
+# |s| >= 3 + t^2/5 or |t| >= 3.5, so
+#   pf = 2 Phi(-3.5) + int_{|t| < 3.5} phi(t) 2 Phi(-(3 + t^2/5)) dt
+#      = 2.222795e-3 (scipy.integrate.quad)
+FOUR_BRANCH_PF = 2.2228e-3
 
 
 def test_acceptance_01_four_branch_crude_monte_carlo():

@@ -432,3 +432,89 @@ class TestSurrogateMethods:
         res = record["result"]
         assert res["n_calls"] == res["n_calls_doe"] + res["n_calls_corr"]
         assert res["pf"] == pytest.approx(0.0227501, rel=0.5)
+
+    def test_ak_on_linear_benchmark(self, tmp_path):
+        out = str(tmp_path / "a.json")
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"benchmark": "linear", "beta0": 2.0, "dimension": 2},
+                "method": {"name": "ak", "n_pool": 5000, "budget": 30, "n_bounds": 50_000},
+                "seed": 7,
+                "output": {"path": out},
+            },
+        )
+        assert main(["run", "--config", cfg]) == 0
+        res = json.loads(open(out).read())["result"]
+        assert res["method"] == "ak"
+        assert res["pf"] == pytest.approx(0.0227501, rel=0.15)
+        assert 12 <= res["n_calls"] <= 30
+        extras = res["extras"]
+        assert extras["pf_lower"] <= res["pf"] <= extras["pf_upper"]
+        assert extras["stop_reason"] in ("u_threshold", "budget")
+        assert extras["converged"] == (extras["stop_reason"] == "u_threshold")
+        assert extras["n_surrogate"] == 50_000
+
+    @pytest.mark.parametrize(
+        "instrumental",
+        [
+            {"type": "input"},
+            {"type": "gaussian_centered", "center": [1.4, 1.4], "std": 1.0},
+        ],
+        ids=["input", "gaussian_centered"],
+    )
+    def test_is_on_linear_benchmark(self, tmp_path, instrumental):
+        out = str(tmp_path / "i.json")
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"benchmark": "linear", "beta0": 2.0, "dimension": 2},
+                "method": {"name": "is", "n": 20_000, "instrumental": instrumental},
+                "seed": 7,
+                "output": {"path": out},
+            },
+        )
+        assert main(["run", "--config", cfg]) == 0
+        res = json.loads(open(out).read())["result"]
+        assert res["n_calls"] == 20_000
+        assert res["pf"] == pytest.approx(0.0227501, abs=5.0 * res["cov"] * res["pf"])
+
+    def test_is_center_of_wrong_dimension_rejected(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"benchmark": "linear", "beta0": 2.0, "dimension": 2},
+                "method": {
+                    "name": "is",
+                    "instrumental": {"type": "gaussian_centered", "center": [1.4]},
+                },
+            },
+        )
+        assert main(["run", "--config", cfg]) == 2
+
+    def test_integral_float_override_matches_integer(self, tmp_path):
+        # the schema accepts 40.0 as an integer; the runner must cast it
+        # before it sizes the correction sample
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"benchmark": "linear", "beta0": 2.0, "dimension": 2},
+                "method": {
+                    "name": "metais",
+                    "n_epsilon": 20_000,
+                    "n_corr": 30,
+                    "budget": 20,
+                    "n_bounds": 10_000,
+                    "n_chain": 100,
+                },
+                "seed": 4,
+            },
+        )
+        outs = []
+        for value in ("40", "40.0"):
+            out = str(tmp_path / f"m{value}.json")
+            assert main(["run", "--config", cfg, "--output", out,
+                         "--method-override", f"n_corr={value}"]) == 0
+            outs.append(open(out, "rb").read())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["result"]["n_calls_corr"] == 40

@@ -14,7 +14,6 @@ from reliakit import (
     CorrelationKernel,
     EvalLedger,
     ExperimentalDesign,
-    KrigingPrediction,
     LimitState,
     MarginCollapsed,
     RandomVector,
@@ -34,7 +33,6 @@ from reliakit import (
     krig_fit,
     krig_from_json,
     krig_pf_bounds,
-    krig_predict,
     krig_predict_batch,
     krig_to_json,
     margin_probability,
@@ -140,14 +138,14 @@ class TestClosedForms:
     def test_far_field_reverts_to_trend(self):
         design = one_d_design(8)
         model = krig_build(design, "constant", CorrelationKernel("squared_exponential", (0.3,)))
-        pred = krig_predict(model, np.array([50.0]))
-        assert pred.mu == pytest.approx(float(model.a[0]), abs=1e-8)
-        assert pred.sigma**2 >= 0.9 * model.sigma2
+        mu, sd = krig_predict_batch(model, np.array([[50.0]]))
+        assert mu[0] == pytest.approx(float(model.a[0]), abs=1e-8)
+        assert sd[0] ** 2 >= 0.9 * model.sigma2
 
     def test_midpoint_of_two_equal_observations(self):
         design = ExperimentalDesign(np.array([[0.0], [1.0]]), np.array([2.0, 2.0]))
         model = krig_build(design, "constant", CorrelationKernel("squared_exponential", (0.8,)))
-        assert krig_predict(model, np.array([0.5])).mu == pytest.approx(2.0, abs=1e-10)
+        assert krig_predict_batch(model, np.array([[0.5]]))[0][0] == pytest.approx(2.0, abs=1e-10)
 
     def test_response_scaling_linearity(self):
         design = one_d_design(8)
@@ -251,47 +249,52 @@ class TestMle:
         assert model.kernel.theta[1] > 3.0 * model.kernel.theta[0]
 
 
+def arrays(*values):
+    return tuple(np.array(v, dtype=float) for v in values)
+
+
 class TestUncertaintyMeasures:
     def test_u_reference_values(self):
-        assert u_function(KrigingPrediction(2.0, 1.0)) == pytest.approx(2.0)
-        assert u_function(KrigingPrediction(-3.0, 1.5)) == pytest.approx(2.0)
-        assert u_function(KrigingPrediction(0.5, 0.0)) == math.inf
-        assert u_function(KrigingPrediction(0.0, 0.0)) == 0.0
+        u = u_function(*arrays([2.0, -3.0, 0.5, 0.0], [1.0, 1.5, 0.0, 0.0]))
+        np.testing.assert_allclose(u[:2], [2.0, 2.0])
+        assert u[2] == math.inf
+        assert u[3] == 0.0
 
     def test_pi_reference_values(self):
-        assert classification_probability(KrigingPrediction(0.0, 1.0)) == pytest.approx(0.5)
-        assert classification_probability(KrigingPrediction(-1.96, 1.0)) == pytest.approx(
-            0.975, abs=1e-4
-        )
-        assert classification_probability(KrigingPrediction(0.3, 0.0)) == 0.0
-        assert classification_probability(KrigingPrediction(-0.3, 0.0)) == 1.0
+        pi = classification_probability(*arrays([0.0, -1.96, 0.3, -0.3], [1.0, 1.0, 0.0, 0.0]))
+        assert pi[0] == pytest.approx(0.5)
+        assert pi[1] == pytest.approx(0.975, abs=1e-4)
+        assert pi[2] == 0.0
+        assert pi[3] == 1.0
 
     def test_pi_monotone_in_mu(self):
-        vals = [classification_probability(KrigingPrediction(m, 0.7)) for m in np.linspace(-3, 3, 25)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        mu = np.linspace(-3, 3, 25)
+        vals = classification_probability(mu, np.full_like(mu, 0.7))
+        assert np.all(vals[:-1] >= vals[1:])
 
     def test_pi_point_symmetry(self):
-        for mu in (0.0, 0.4, 1.7):
-            p = classification_probability(KrigingPrediction(mu, 1.3))
-            q = classification_probability(KrigingPrediction(-mu, 1.3))
-            assert p + q == pytest.approx(1.0, abs=1e-12)
+        mu, sd = arrays([0.0, 0.4, 1.7], [1.3, 1.3, 1.3])
+        p = classification_probability(mu, sd)
+        q = classification_probability(-mu, sd)
+        np.testing.assert_allclose(p + q, 1.0, atol=1e-12)
 
     def test_margin_reference_values(self):
-        assert margin_probability(KrigingPrediction(0.0, 1.0), 1.96) == pytest.approx(0.95, abs=1e-3)
-        assert margin_probability(KrigingPrediction(50.0, 1.0), 1.96) == pytest.approx(0.0, abs=1e-12)
-        assert margin_probability(KrigingPrediction(0.0, 0.0), 1.96) == 1.0
-        assert margin_probability(KrigingPrediction(0.5, 0.0), 1.96) == 0.0
+        m = margin_probability(*arrays([0.0, 50.0, 0.0, 0.5], [1.0, 1.0, 0.0, 0.0]), 1.96)
+        assert m[0] == pytest.approx(0.95, abs=1e-3)
+        assert m[1] == pytest.approx(0.0, abs=1e-12)
+        assert m[2] == 1.0
+        assert m[3] == 0.0
 
     def test_margin_grows_with_k(self):
-        pred = KrigingPrediction(0.8, 1.0)
+        mu, sd = arrays([0.8], [1.0])
         ks = [0.5, 1.0, 2.0, 4.0, 8.0]
-        vals = [margin_probability(pred, k) for k in ks]
+        vals = [float(margin_probability(mu, sd, k)[0]) for k in ks]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_margin_requires_positive_k(self):
         with pytest.raises(ValueError):
-            margin_probability(KrigingPrediction(0.0, 1.0), 0.0)
+            margin_probability(*arrays([0.0], [1.0]), 0.0)
 
 
 class TestEnrichment:
@@ -309,9 +312,7 @@ class TestEnrichment:
         pool = rv.sample(2000, seed=5)
         chosen = enrich_ak(model, pool)
         mu, sd = krig_predict_batch(model, pool)
-        from reliakit.kriging import _u_values
-
-        u = _u_values(mu, sd)
+        u = u_function(mu, sd)
         mu_c, sd_c = krig_predict_batch(model, chosen[None, :])
         assert abs(mu_c[0]) / sd_c[0] == pytest.approx(float(np.min(u)), rel=1e-12)
 
@@ -322,9 +323,7 @@ class TestEnrichment:
         pool[7] = pool[31]
         chosen = enrich_ak(model, pool)
         mu, sd = krig_predict_batch(model, pool)
-        from reliakit.kriging import _u_values
-
-        u = _u_values(mu, sd)
+        u = u_function(mu, sd)
         if int(np.argmin(u)) in (7, 31):
             np.testing.assert_array_equal(chosen, pool[7])
 
@@ -341,9 +340,7 @@ class TestEnrichment:
         assert pts.shape[1] == 2
         assert 1 <= pts.shape[0] <= 4
         mu, sd = krig_predict_batch(model, pts)
-        from reliakit.kriging import _margin_values
-
-        assert np.all(_margin_values(mu, sd, 1.96) > 1e-6)
+        assert np.all(margin_probability(mu, sd, 1.96) > 1e-6)
         # never duplicates an existing design point
         for p in pts:
             d = np.min(np.linalg.norm(model.design.points - p, axis=1))
@@ -428,6 +425,7 @@ class TestAdaptiveDrivers:
             out = ak_mcs(ls, rv, n_pool=20_000, budget=60, seed=18, ledger=ledger)
         assert isinstance(out, AdaptiveResult)
         assert out.converged
+        assert out.stop_reason == "u_threshold"
         assert out.n_calls == ledger.count <= 60
         lo, mid, hi = krig_pf_bounds(out.model, rv, n=100_000, seed=19)
         assert mid == pytest.approx(float(ndtr(-2.0)), rel=0.15)
@@ -456,7 +454,9 @@ class TestAdaptiveDrivers:
         assert mid == pytest.approx(2.22e-3, rel=0.5)
 
     def test_margin_driver_collapse_counts_as_converged(self):
-        # a linear trend reproduces a linear g exactly after the first fit
+        # a linear trend reproduces a linear g exactly after the first fit,
+        # so the pf band has zero width and the loop stops on it before
+        # the margin is ever sampled (the collapse path is the next test)
         ls = benchmark_linear(2.0, dimension=2)
         rv = standard_normal_vector(2)
         with warnings.catch_warnings():
@@ -465,6 +465,40 @@ class TestAdaptiveDrivers:
                 ls, rv, trend="linear", budget=40, n_bounds=10_000, seed=23
             )
         assert out.converged
+        assert out.stop_reason == "bounds_tight"
+        assert out.n_calls == 12
+
+    def test_margin_design_stops_on_collapsed_margin(self, monkeypatch):
+        from reliakit import kriging
+
+        def collapsed(*args, **kwargs):
+            raise MarginCollapsed("no margin left")
+
+        monkeypatch.setattr(kriging, "enrich_margin", collapsed)
+        ledger = EvalLedger()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = adaptive_margin_design(
+                benchmark_waarts(), standard_normal_vector(2), budget=40, n_bounds=10_000,
+                seed=5, ledger=ledger,
+            )
+        assert out.converged
+        assert out.stop_reason == "margin_collapsed"
+        assert out.n_calls == ledger.count == 12
+        assert len(out.trace) == 1
+
+    def test_margin_design_budget_exhaustion(self):
+        ledger = EvalLedger()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = adaptive_margin_design(
+                benchmark_waarts(), standard_normal_vector(2), tol=0.0, budget=30, seed=5,
+                ledger=ledger,
+            )
+        assert not out.converged
+        assert out.stop_reason == "budget"
+        assert out.n_calls == ledger.count == 30
+        assert [t["n_calls"] for t in out.trace] == [12, 16, 20, 24, 28, 30]
 
     def test_margin_mass_trends_down(self):
         # average margin probability is allowed one up-tick over five rounds
@@ -474,14 +508,12 @@ class TestAdaptiveDrivers:
         design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
         probe = rv.sample(20_000, seed=25)
         masses = []
-        from reliakit.kriging import _margin_values
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             model = krig_fit(design, seed=24)
             for it in range(5):
                 mu, sd = krig_predict_batch(model, probe)
-                masses.append(float(np.mean(_margin_values(mu, sd, 1.96))))
+                masses.append(float(np.mean(margin_probability(mu, sd, 1.96))))
                 new_pts = enrich_margin(model, rv, seed=26 + it)
                 design = design.extended(new_pts, evaluate_batch(ls, new_pts))
                 model = krig_fit(design, seed=24)

@@ -23,6 +23,7 @@ from reliakit import (
     instrumental_density,
     krig_build,
     krig_fit,
+    krig_predict_batch,
     metais_estimate,
     sample_instrumental,
     standard_normal_vector,
@@ -60,12 +61,10 @@ class TestInstrumentalDensity:
     def test_zero_mean_point_halves_the_pdf(self):
         model, rv = ambiguous_waarts_model()
         # manufacture mu == 0 by searching the sign change along an axis
-        from reliakit import krig_predict
-
         lo, hi = 0.0, 6.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if krig_predict(model, np.array([mid, 0.0])).mu > 0:
+            if krig_predict_batch(model, np.array([[mid, 0.0]]))[0][0] > 0:
                 lo = mid
             else:
                 hi = mid
