@@ -230,10 +230,23 @@ class ConfigError(ValueError):
     """Invalid configuration (schema, file, or override syntax)."""
 
 
+def _finite_number(text: str) -> float:
+    # json and jsonschema both accept NaN, Infinity and overflowing literals
+    # such as 1e999; none of them is a usable option or parameter
+    val = float(text)
+    if not math.isfinite(val):
+        raise ConfigError(f"{text} is not a finite number")
+    return val
+
+
+def _parse_json(text: str):
+    return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+
+
 def _load_config(path: str, require: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = _parse_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -274,7 +287,7 @@ def _apply_overrides(method: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
         try:
-            val = json.loads(raw)
+            val = _parse_json(raw)
         except json.JSONDecodeError:
             val = raw
         out[key.strip()] = val

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -264,6 +265,18 @@ def estimate_is(
     )
 
 
+def _central_gradient(g_rows, x: np.ndarray, h) -> np.ndarray:
+    """Central-difference gradient of g at x from one batch of 2M rows.
+
+    ``g_rows`` maps an (n, M) array to n values; ``h`` is one step or one
+    step per coordinate.  The rows are x + h_i e_i, then x - h_i e_i.
+    """
+    h = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
+    step = np.diag(h)
+    vals = g_rows(np.vstack([x + step, x - step]))
+    return (vals[: x.size] - vals[x.size :]) / (2.0 * h)
+
+
 def cornell_index(
     ls: LimitState,
     rv: RandomVector,
@@ -277,22 +290,10 @@ def cornell_index(
     else it is a first-order approximation that depends on how g is written
     (it is not invariant under equivalent reformulations of g).
     """
+    g_rows = partial(evaluate_batch, ls, ledger=ledger)
     mu = rv.means()
-    sig = rv.stds()
-    m = rv.dimension
-    pts = [mu]
-    for i in range(m):
-        h = step * sig[i]
-        for sgn in (+1.0, -1.0):
-            p = mu.copy()
-            p[i] += sgn * h
-            pts.append(p)
-    vals = evaluate_batch(ls, np.array(pts), ledger=ledger)
-    g0 = vals[0]
-    grad = np.empty(m)
-    for i in range(m):
-        h = step * sig[i]
-        grad[i] = (vals[1 + 2 * i] - vals[2 + 2 * i]) / (2.0 * h)
+    g0 = g_rows(mu)[0]
+    grad = _central_gradient(g_rows, mu, step * rv.stds())
     var = float(grad @ rv.covariance() @ grad)
     if var <= 0.0 or not math.isfinite(var):
         raise ConditioningError(
@@ -304,22 +305,10 @@ def cornell_index(
     return ReliabilityResult(
         pf=pf,
         cov=math.nan,
-        n_calls=1 + 2 * m,
+        n_calls=1 + 2 * rv.dimension,
         method="fosm",
         extras={"beta_mv": beta_c, "g_mean": float(g0), "gradient": grad.tolist()},
     )
-
-
-def _finite_diff_grad(func, u: np.ndarray, h: float) -> np.ndarray:
-    m = u.size
-    grad = np.empty(m)
-    for i in range(m):
-        up = u.copy()
-        um = u.copy()
-        up[i] += h
-        um[i] -= h
-        grad[i] = (func(up) - func(um)) / (2.0 * h)
-    return grad
 
 
 def form(
@@ -346,10 +335,13 @@ def form(
     m = rv.dimension
     calls = 0
 
-    def g_std(u: np.ndarray) -> float:
+    def g_rows(us: np.ndarray) -> np.ndarray:
         nonlocal calls
-        calls += 1
-        return float(evaluate_batch(ls, rv.from_standard(u), ledger=ledger)[0])
+        calls += len(us)
+        return evaluate_batch(ls, rv.from_standard(us), ledger=ledger)
+
+    def g_std(u: np.ndarray) -> float:
+        return float(g_rows(u[None, :])[0])
 
     g_origin = g_std(np.zeros(m))
     sign = 1.0 if g_origin > 0.0 else -1.0
@@ -369,10 +361,11 @@ def form(
 
     for u0 in starts:
         u = u0.astype(float).copy()
-        g = g_std(u)
+        # the first start is the origin, where g is already known
+        g = g_origin if u0 is starts[0] else g_std(u)
         converged = False
         for _ in range(max_iter):
-            grad = _finite_diff_grad(g_std, u, fd_step)
+            grad = _central_gradient(g_rows, u, fd_step)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-12:
                 break  # stationary start; nothing to project along
@@ -401,8 +394,7 @@ def form(
             u, g = u_new, g_new
             last_iterate = u.copy()
         if converged:
-            grad = _finite_diff_grad(g_std, u, fd_step)
-            solutions.append((u.copy(), -grad / np.linalg.norm(grad)))
+            solutions.append((u.copy(), alpha))
 
     if not solutions:
         raise IterationError(

@@ -51,16 +51,24 @@ class EvalLedger:
 class LimitState:
     """A deterministic performance function g : R^M -> R.
 
-    ``evaluator`` maps one point (array of shape (M,)) to a float.  When a
-    vectorized implementation exists, supply ``vector_evaluator`` taking an
-    (n, M) array; :func:`evaluate_batch` prefers it.
+    ``evaluator`` maps one point (array of shape (M,)) to a float, and
+    ``vector_evaluator`` an (n, M) array to n values; :func:`evaluate_batch`
+    prefers the latter.  Give at least one: with only ``vector_evaluator``
+    the single-point form is derived from it.
     """
 
     dimension: int
-    evaluator: Callable[[np.ndarray], float]
+    evaluator: Callable[[np.ndarray], float] | None = None
     name: str = "g"
     fixed_params: Mapping[str, float] = field(default_factory=dict)
     vector_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        vec = self.vector_evaluator
+        if self.evaluator is None:
+            if vec is None:
+                raise ValueError("a limit state needs an evaluator or a vector_evaluator")
+            object.__setattr__(self, "evaluator", lambda x: float(vec(np.asarray(x)[None, :])[0]))
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -152,17 +160,6 @@ class ExperimentalDesign:
 _SQRT2 = math.sqrt(2.0)
 
 
-def _waarts_scalar(x: np.ndarray) -> float:
-    d = (x[0] - x[1]) ** 2 / 10.0
-    s = (x[0] + x[1]) / _SQRT2
-    return min(
-        3.0 + d - s,
-        3.0 + d + s,
-        x[0] - x[1] + 7.0 / _SQRT2,
-        x[1] - x[0] + 7.0 / _SQRT2,
-    )
-
-
 def _waarts_vector(xs: np.ndarray) -> np.ndarray:
     d = (xs[:, 0] - xs[:, 1]) ** 2 / 10.0
     s = (xs[:, 0] + xs[:, 1]) / _SQRT2
@@ -187,7 +184,6 @@ def benchmark_waarts() -> LimitState:
     """
     return LimitState(
         dimension=2,
-        evaluator=_waarts_scalar,
         name="four_branch",
         vector_evaluator=_waarts_vector,
     )
@@ -213,15 +209,11 @@ def benchmark_linear(beta0: float, direction=None, dimension: int | None = None)
         m = e.size
     beta0 = float(beta0)
 
-    def scalar(x: np.ndarray) -> float:
-        return beta0 - float(e @ x)
-
     def vector(xs: np.ndarray) -> np.ndarray:
         return beta0 - xs @ e
 
     return LimitState(
         dimension=m,
-        evaluator=scalar,
         name=f"linear_b{beta0:g}",
         fixed_params={"beta0": beta0},
         vector_evaluator=vector,

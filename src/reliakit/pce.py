@@ -254,16 +254,23 @@ class PceBasis:
         return float(val[0]) if single else val
 
 
-def _family_for_marginal(marg) -> PolynomialFamily:
+def _basis_map(marg) -> tuple[PolynomialFamily, bool, float, float, float]:
+    """(family, log, loc, scale, shift) of one independent marginal.
+
+    The basis variable is xi = (t(x) - loc) / scale - shift, where t is log
+    for lognormal inputs and the identity otherwise.  Uniform and beta
+    inputs on (lo, hi) map onto (-1, 1).
+    """
+    p = marg.params
     if marg.family in ("gaussian", "lognormal"):
-        return PolynomialFamily("hermite")
+        return PolynomialFamily("hermite"), marg.family == "lognormal", p[0], p[1], 0.0
     if marg.family == "uniform":
-        return PolynomialFamily("legendre")
+        return PolynomialFamily("legendre"), False, p[0], (p[1] - p[0]) / 2.0, 1.0
     if marg.family == "gamma":
-        return PolynomialFamily("laguerre", alpha=marg.params[0] - 1.0)
-    # beta(p, q) on (lo, hi) mapped to (-1, 1): density carries (1-x)^(q-1) (1+x)^(p-1)
-    p, q = marg.params[0], marg.params[1]
-    return PolynomialFamily("jacobi", alpha=q - 1.0, beta=p - 1.0)
+        return PolynomialFamily("laguerre", alpha=p[0] - 1.0), False, 0.0, p[1], 0.0
+    # beta(a, b) on (-1, 1): density carries (1-x)^(b-1) (1+x)^(a-1)
+    fam = PolynomialFamily("jacobi", alpha=p[1] - 1.0, beta=p[0] - 1.0)
+    return fam, False, p[2], (p[3] - p[2]) / 2.0, 1.0
 
 
 def basis_for(rv: RandomVector, degree: int) -> PceBasis:
@@ -274,7 +281,7 @@ def basis_for(rv: RandomVector, degree: int) -> PceBasis:
     standard-normal coordinates instead, so every dimension is Hermite.
     """
     if rv.is_independent:
-        fams = tuple(_family_for_marginal(m) for m in rv.marginals)
+        fams = tuple(_basis_map(m)[0] for m in rv.marginals)
     else:
         fams = tuple(PolynomialFamily("hermite") for _ in rv.marginals)
     return PceBasis(families=fams, indices=truncation_set(rv.dimension, degree))
@@ -283,51 +290,27 @@ def basis_for(rv: RandomVector, degree: int) -> PceBasis:
 def physical_to_basis(rv: RandomVector, x) -> np.ndarray:
     """Map physical input point(s) to the basis-variable coordinates."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
     if not rv.is_independent:
-        out = np.atleast_2d(rv.to_standard(pts))
-        return out[0] if single else out
-    out = np.empty_like(pts)
+        return rv.to_standard(x)
+    out = np.empty_like(x)
     for i, marg in enumerate(rv.marginals):
-        p = marg.params
-        col = pts[:, i]
-        if marg.family == "gaussian":
-            out[:, i] = (col - p[0]) / p[1]
-        elif marg.family == "lognormal":
-            out[:, i] = (np.log(col) - p[0]) / p[1]
-        elif marg.family == "uniform":
-            out[:, i] = 2.0 * (col - p[0]) / (p[1] - p[0]) - 1.0
-        elif marg.family == "gamma":
-            out[:, i] = col / p[1]
-        else:  # beta on (lo, hi) -> (-1, 1)
-            out[:, i] = 2.0 * (col - p[2]) / (p[3] - p[2]) - 1.0
-    return out[0] if single else out
+        _, log, loc, scale, shift = _basis_map(marg)
+        col = np.log(x[..., i]) if log else x[..., i]
+        out[..., i] = (col - loc) / scale - shift
+    return out
 
 
 def basis_to_physical(rv: RandomVector, xi) -> np.ndarray:
     """Inverse of :func:`physical_to_basis`."""
     xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = np.atleast_2d(xi)
     if not rv.is_independent:
-        out = np.atleast_2d(rv.from_standard(pts))
-        return out[0] if single else out
-    out = np.empty_like(pts)
+        return rv.from_standard(xi)
+    out = np.empty_like(xi)
     for i, marg in enumerate(rv.marginals):
-        p = marg.params
-        col = pts[:, i]
-        if marg.family == "gaussian":
-            out[:, i] = p[0] + p[1] * col
-        elif marg.family == "lognormal":
-            out[:, i] = np.exp(p[0] + p[1] * col)
-        elif marg.family == "uniform":
-            out[:, i] = p[0] + 0.5 * (col + 1.0) * (p[1] - p[0])
-        elif marg.family == "gamma":
-            out[:, i] = col * p[1]
-        else:
-            out[:, i] = p[2] + 0.5 * (col + 1.0) * (p[3] - p[2])
-    return out[0] if single else out
+        _, log, loc, scale, shift = _basis_map(marg)
+        t = loc + scale * (xi[..., i] + shift)
+        out[..., i] = np.exp(t) if log else t
+    return out
 
 
 @dataclass
@@ -362,7 +345,6 @@ class PceModel:
     def to_limit_state(self, name: str = "pce") -> LimitState:
         return LimitState(
             dimension=self.basis.dimension,
-            evaluator=lambda x: float(self.predict(x)),
             name=name,
             vector_evaluator=lambda xs: np.asarray(self.predict(xs)),
         )

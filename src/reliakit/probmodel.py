@@ -72,6 +72,8 @@ class Marginal:
             raise ModelError(f"unknown marginal family {self.family!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         p = self.params
+        if not all(math.isfinite(v) for v in p):
+            raise ModelError(f"{self.family} marginal parameters must be finite, got {p}")
         if self.family == "gaussian":
             if len(p) != 2 or p[1] <= 0:
                 raise ModelError("gaussian marginal needs (mean, std) with std > 0")

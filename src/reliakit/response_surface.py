@@ -92,7 +92,6 @@ class QuadraticSurface:
     def to_limit_state(self, name: str = "qrs") -> LimitState:
         return LimitState(
             dimension=self.dimension,
-            evaluator=lambda x: float(self.predict(x)),
             name=name,
             vector_evaluator=lambda xs: np.asarray(self.predict(xs)),
         )

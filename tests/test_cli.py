@@ -254,6 +254,59 @@ class TestConfigValidation:
         assert main(["run", "--config", cfg]) == 2
 
 
+@pytest.fixture
+def no_model_calls(monkeypatch):
+    """Make every limit state the CLI builds fail the test when evaluated."""
+
+    def fail(xs):
+        raise AssertionError("the model was called")
+
+    def failing(dimension):
+        return reliakit.LimitState(dimension, vector_evaluator=fail)
+
+    monkeypatch.setattr(reliakit.cli, "benchmark_waarts", lambda: failing(2))
+    monkeypatch.setattr(
+        reliakit.cli, "limit_state_from_expression", lambda expr, dim, **kw: failing(dim)
+    )
+
+
+class TestNonFiniteNumbers:
+    # json and jsonschema accept NaN, Infinity and 1e999; each must exit 2
+    # before the model sees a point, and write nothing
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_override_rejected(self, tmp_path, capsys, no_model_calls, value):
+        cfg = write_config(
+            tmp_path, {"problem": {"benchmark": "waarts"}, "method": {"name": "metais"}, "seed": 0}
+        )
+        assert main(["run", "--config", cfg, "--method-override", f"k={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
+    @pytest.mark.parametrize(
+        "marginal",
+        [
+            {"family": "gaussian", "params": [0.0, math.nan]},
+            {"family": "uniform", "params": [0.0, math.inf]},
+            {"family": "lognormal", "params": [-math.inf, 0.2]},
+        ],
+    )
+    def test_marginal_rejected(self, tmp_path, capsys, no_model_calls, marginal):
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"expression": "3 - x1", "marginals": [marginal]},
+                "method": {"name": "form"},
+                "seed": 0,
+            },
+        )
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
+
 class TestCompare:
     def test_two_methods_csv(self, tmp_path):
         out = str(tmp_path / "cmp.csv")

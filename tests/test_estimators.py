@@ -29,6 +29,17 @@ from reliakit import (
 )
 
 
+def batch_recording(ls):
+    """A copy of a vector limit state that records the size of every batch."""
+    sizes = []
+
+    def vec(xs):
+        sizes.append(len(xs))
+        return ls.vector_evaluator(xs)
+
+    return LimitState(ls.dimension, name=ls.name, vector_evaluator=vec), sizes
+
+
 class TestReliabilityResult:
     def test_beta_from_pf(self):
         assert ReliabilityResult(0.5, 0.0, 0, "mc").beta == pytest.approx(0.0)
@@ -173,6 +184,12 @@ class TestCornell:
         cornell_index(benchmark_linear(2.0, dimension=2), standard_normal_vector(2), ledger=ledger)
         assert ledger.count == 5  # center + two per input
 
+    def test_stencil_is_one_batch(self):
+        ls, sizes = batch_recording(benchmark_linear(2.0, dimension=3))
+        res = cornell_index(ls, standard_normal_vector(3))
+        assert sizes == [1, 6]
+        assert res.n_calls == 7
+
 
 class TestForm:
     @pytest.mark.parametrize("beta0", [1.0, 2.0, 3.0, 4.0])
@@ -225,6 +242,20 @@ class TestForm:
         ledger = EvalLedger()
         form(benchmark_linear(2.0, dimension=2), standard_normal_vector(2), ledger=ledger)
         assert ledger.count > 0
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_stencils_are_single_batches(self, m):
+        ls, sizes = batch_recording(benchmark_linear(2.0, direction=np.arange(1.0, m + 1)))
+        res = form(ls, standard_normal_vector(m))
+        assert set(sizes) == {1, 2 * m}
+        assert sum(sizes) == res.n_calls
+
+    def test_waarts_call_count(self):
+        # four starts converge; each keeps the gradient it converged with
+        ledger = EvalLedger()
+        res = form(benchmark_waarts(), standard_normal_vector(2), ledger=ledger)
+        assert res.n_calls == ledger.count <= 378
+        assert res.beta == pytest.approx(3.0, abs=1e-3)
 
     def test_nan_response_raises_model_error(self):
         # finite at the origin, NaN from u1 = 0.5 on, short of the surface at 2

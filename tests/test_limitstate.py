@@ -62,6 +62,20 @@ class TestWaarts:
         np.testing.assert_allclose(ls.vector_evaluator(pts), scalar, rtol=1e-14)
 
 
+class TestSinglePointForm:
+    def test_derived_from_vector_evaluator(self):
+        def g(xs):
+            return xs[:, 0] * np.exp(xs[:, 1]) - 0.3
+
+        ls = LimitState(2, vector_evaluator=g)
+        for x in np.random.default_rng(4).normal(size=(10, 2)):
+            assert ls(x) == g(x[None])[0]
+
+    def test_needs_an_evaluator(self):
+        with pytest.raises(ValueError, match="evaluator"):
+            LimitState(2)
+
+
 class TestLinearBenchmark:
     def test_default_direction(self):
         ls = benchmark_linear(2.0, dimension=3)

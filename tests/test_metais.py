@@ -338,8 +338,9 @@ class TestFullEstimate:
         assert res.extras.get("prebuilt_surrogate") is True
         assert res.converged
 
-    def test_margin_collapse_still_converges(self):
-        # linear trend fits the linear g exactly after the initial design
+    def test_exact_surrogate_stops_on_tight_bounds(self):
+        # a linear trend fits the linear g exactly after the 12-point initial
+        # design, so the pf band has zero width and the DoE stops there
         ls = benchmark_linear(2.0, dimension=2)
         rv = standard_normal_vector(2)
         with warnings.catch_warnings():
@@ -355,7 +356,8 @@ class TestFullEstimate:
                 seed=25,
             )
         assert res.converged
-        assert res.extras["doe_stop_reason"] in ("margin_collapsed", "bounds_tight")
+        assert res.extras["doe_stop_reason"] == "bounds_tight"
+        assert res.n_model_calls_doe == 12
 
     def test_result_dict_shape(self):
         rv = standard_normal_vector(2)

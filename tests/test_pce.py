@@ -15,6 +15,7 @@ from reliakit import (
     PolynomialFamily,
     RandomVector,
     basis_for,
+    basis_to_physical,
     benchmark_linear,
     evaluate_batch,
     gauss_rule,
@@ -25,6 +26,7 @@ from reliakit import (
     pce_loo_error,
     pce_moments,
     pce_pf,
+    physical_to_basis,
     standard_normal_vector,
     truncation_set,
     univariate_orthonormal,
@@ -221,6 +223,40 @@ class TestGramIdentity:
         psi = basis.evaluate(physical_to_basis(rv, x))
         gram = psi.T @ psi / x.shape[0]
         np.testing.assert_allclose(gram, np.eye(len(basis.indices)), atol=0.1)
+
+
+class TestBasisMaps:
+    MARGINALS = (
+        Marginal.gaussian(1.0, 2.0),
+        Marginal.uniform(-1.0, 3.0),
+        Marginal.lognormal(0.5, 0.2),
+        Marginal.gamma(3.0, 0.5),
+        Marginal.beta(2.0, 5.0, 1.0, 4.0),
+    )
+
+    @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "correlated"])
+    def test_round_trip(self, correlated):
+        corr = None
+        if correlated:
+            corr = np.eye(5)
+            corr[0, 3] = corr[3, 0] = 0.4
+            corr[1, 4] = corr[4, 1] = -0.3
+        rv = RandomVector(self.MARGINALS, corr)
+        x = rv.sample(200, seed=5)
+        xi = physical_to_basis(rv, x)
+        np.testing.assert_allclose(basis_to_physical(rv, xi), x, rtol=1e-10)
+        single = basis_to_physical(rv, physical_to_basis(rv, x[0]))
+        assert single.shape == (5,)
+        np.testing.assert_allclose(single, x[0], rtol=1e-10)
+
+    def test_basis_variables_lie_on_each_family_support(self):
+        rv = RandomVector(self.MARGINALS)
+        x = rv.sample(500, seed=6)
+        xi = physical_to_basis(rv, x)
+        np.testing.assert_allclose(xi[:, 0], (x[:, 0] - 1.0) / 2.0)
+        np.testing.assert_allclose(xi[:, 2], (np.log(x[:, 2]) - 0.5) / 0.2)
+        assert np.all(np.abs(xi[:, [1, 4]]) < 1.0)  # legendre, jacobi
+        assert np.all(xi[:, 3] > 0.0)  # laguerre
 
 
 def _design_for(rv, ls, n, seed):

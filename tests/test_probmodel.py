@@ -35,6 +35,21 @@ class TestMarginal:
         with pytest.raises(ModelError):
             Marginal("cauchy", (0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("gaussian", (0.0, math.nan)),
+            ("gaussian", (-math.inf, 1.0)),
+            ("uniform", (0.0, math.inf)),
+            ("lognormal", (math.nan, 0.2)),
+            ("gamma", (math.inf, 1.0)),
+            ("beta", (2.0, 3.0, -math.inf, 1.0)),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, family, params):
+        with pytest.raises(ModelError, match="finite"):
+            Marginal(family, params)
+
     def test_moments_against_closed_forms(self):
         assert Marginal.gaussian(3.0, 2.0).mean() == pytest.approx(3.0)
         assert Marginal.gaussian(3.0, 2.0).std() == pytest.approx(2.0)

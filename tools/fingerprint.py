@@ -1,0 +1,161 @@
+"""Print a JSON fingerprint of seeded reliakit outputs, every float in hex.
+
+Usage, from the root of a checkout::
+
+    python3 tools/fingerprint.py > fingerprint.json
+
+The package is imported from the checkout's own ``src/``, so running the
+script in two trees and diffing the outputs shows exactly which seeded
+numbers a change moves.  Floats are printed with ``float.hex`` so that a
+last-bit difference shows up.  Covered:
+
+* meta-IS on four-branch at the benchmark settings (n_corr 200, budget 48,
+  8 clusters, tol 0) for two seeds;
+* AK-MCS on four-branch with a 2e4 pool;
+* the ``reliakit compare`` CSV on ``perfbench/compare_physical.json`` at
+  seed 0;
+* FORM and FOSM on the compare problem and on four-branch;
+* both PCE maps (physical to basis and back) on a vector with all five
+  marginal families, independent and correlated.
+
+It takes well under a minute on a two-core machine.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from reliakit import (  # noqa: E402
+    ConditioningError,
+    Marginal,
+    RandomVector,
+    ak_mcs,
+    basis_for,
+    basis_to_physical,
+    benchmark_waarts,
+    cornell_index,
+    form,
+    metais_estimate,
+    physical_to_basis,
+    standard_normal_vector,
+)
+from reliakit import cli  # noqa: E402
+
+COMPARE_CONFIG = ROOT / "perfbench" / "compare_physical.json"
+
+
+def _hex(v):
+    """The same structure with every float as its exact hex string."""
+    if isinstance(v, (float, np.floating)):
+        return float(v).hex()
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.ndarray):
+        return _hex(v.tolist())
+    if isinstance(v, dict):
+        return {str(k): _hex(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_hex(x) for x in v]
+    return v
+
+
+def _gradient_methods(ls, rv) -> dict:
+    out = {}
+    for name, method in (("fosm", cornell_index), ("form", form)):
+        try:
+            res = method(ls, rv)
+        except ConditioningError as exc:  # FOSM on four-branch: zero gradient at the mean
+            out[name] = {"error": f"{type(exc).__name__}: {exc}"}
+        else:
+            out[name] = {"pf": res.pf, "n_calls": res.n_calls, "extras": res.extras}
+    return out
+
+
+def _metais(seed: int) -> dict:
+    res = metais_estimate(
+        benchmark_waarts(),
+        standard_normal_vector(2),
+        n_corr=200,
+        budget=48,
+        n_clusters=8,
+        tol=0.0,
+        seed=seed,
+    )
+    return res.to_dict()
+
+
+def _akmcs() -> dict:
+    res = ak_mcs(benchmark_waarts(), standard_normal_vector(2), n_pool=20_000, seed=0)
+    return {
+        "n_calls": res.n_calls,
+        "converged": res.converged,
+        "stop_reason": res.stop_reason,
+        "trace": res.trace,
+        "theta": res.model.kernel.theta,
+        "design": res.model.design.points,
+        "responses": res.model.design.responses,
+    }
+
+
+def _compare_csv(spec: dict) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "compare.json"
+        cfg.write_text(json.dumps({"problem": spec["problem"], "methods": spec["methods"]}))
+        out = Path(tmp) / "compare.csv"
+        code = cli.main(["compare", "--config", str(cfg), "--seed", "0", "--output", str(out)])
+        return [f"exit {code}"] + out.read_text().splitlines()
+
+
+def _pce_maps() -> dict:
+    margs = (
+        Marginal.gaussian(1.0, 2.0),
+        Marginal.uniform(-1.0, 3.0),
+        Marginal.lognormal(0.5, 0.2),
+        Marginal.gamma(3.0, 0.5),
+        Marginal.beta(2.0, 5.0, 1.0, 4.0),
+    )
+    corr = np.eye(5)
+    corr[0, 3] = corr[3, 0] = 0.4
+    corr[1, 4] = corr[4, 1] = -0.3
+    out = {}
+    for label, rv in (("independent", RandomVector(margs)), ("correlated", RandomVector(margs, corr))):
+        x = rv.sample(40, seed=3)
+        xi = physical_to_basis(rv, x)
+        out[label] = {
+            "families": [[f.kind, f.alpha, f.beta] for f in basis_for(rv, 1).families],
+            "to_basis": xi,
+            "to_physical": basis_to_physical(rv, xi),
+            "single_point": basis_to_physical(rv, physical_to_basis(rv, x[0])),
+        }
+    return out
+
+
+def main() -> int:
+    spec = json.loads(COMPARE_CONFIG.read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        doc = {
+            "metais_seed0": _metais(0),
+            "metais_seed1": _metais(1),
+            "akmcs": _akmcs(),
+            "compare_csv": _compare_csv(spec),
+            "gradient_compare": _gradient_methods(*cli._build_problem(spec["problem"])),
+            "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
+            "pce_maps": _pce_maps(),
+        }
+    json.dump(_hex(doc), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
