@@ -56,19 +56,24 @@ def _beta(pf: float) -> float:
     return float(-ndtri(pf))
 
 
+def _cov_of_mean(mean: float, second: float, n: int) -> float:
+    """CoV of a sample mean from the means of the values and of their squares.
+
+    Infinite when the mean is not positive.
+    """
+    if mean <= 0.0:
+        return math.inf
+    return math.sqrt(max(second - mean * mean, 0.0) / n) / mean
+
+
 def _mean_cov(w: np.ndarray) -> tuple[float, float]:
     """Sample mean of w and the coefficient of variation of that mean.
 
-    Compensated sums make the result independent of the order of w; the
-    CoV is infinite when the mean is not positive.
+    Compensated sums make the result independent of the order of w.
     """
     n = w.size
     mean = math.fsum(w) / n
-    if mean <= 0.0:
-        return mean, math.inf
-    second = math.fsum(float(v) * float(v) for v in w) / n
-    var = max(second - mean * mean, 0.0) / n
-    return mean, math.sqrt(var) / mean
+    return mean, _cov_of_mean(mean, math.fsum(w * w) / n, n)
 
 
 @dataclass
@@ -122,18 +127,17 @@ def estimate_mc(
     n: int,
     seed=None,
     ledger: EvalLedger | None = None,
-    batch: int = 100_000,
 ) -> ReliabilityResult:
     """Crude Monte Carlo estimate pf = (# failures) / n.
 
-    Evaluates in batches of at most ``batch`` rows to bound memory.  If no
+    Evaluates in batches of at most 100,000 rows to bound memory.  If no
     failure is observed the estimate is 0 with infinite uncertainty; the
     result carries ``extras['no_failures'] = True`` and a warning is issued.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     nf = 0
-    for xs in rv.sample_chunks(n, batch, seed=seed):
+    for xs in rv.sample_chunks(n, seed=seed):
         nf += int(np.count_nonzero(evaluate_batch(ls, xs, ledger=ledger) <= 0.0))
     pf = nf / n
     extras = {"n_failures": nf}
@@ -317,7 +321,6 @@ def form(
     tol: float = 1e-8,
     gtol: float = 1e-8,
     max_iter: int = 100,
-    fd_step: float = 1e-4,
     extra_starts: Sequence | None = None,
     ledger: EvalLedger | None = None,
 ) -> ReliabilityResult:
@@ -328,6 +331,8 @@ def form(
     any ``extra_starts`` given in standard coordinates), and keeps the
     converged point closest to the origin.  The index is the distance to
     that point, signed by whether the origin is safe; pf = Phi(-beta).
+    Gradients are central differences with step 1e-4 in standard
+    coordinates.
 
     Raises :class:`IterationError` with the best iterate attached when no
     start converges.
@@ -365,7 +370,7 @@ def form(
         g = g_origin if u0 is starts[0] else g_std(u)
         converged = False
         for _ in range(max_iter):
-            grad = _central_gradient(g_rows, u, fd_step)
+            grad = _central_gradient(g_rows, u, 1e-4)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-12:
                 break  # stationary start; nothing to project along

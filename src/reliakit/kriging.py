@@ -147,6 +147,11 @@ class KrigingModel:
     Cholesky factor of its normal matrix.
     """
 
+    # The inverses are stored on purpose: triangular solves in their place
+    # ran the four-branch benchmarks about 1.4x slower and left the
+    # finite-difference noise of the likelihood as it was (that noise comes
+    # from the conditioning of R, not from forming L^-1).
+
     design: ExperimentalDesign
     trend: str
     kernel: CorrelationKernel
@@ -164,18 +169,15 @@ class KrigingModel:
         return self.design.dimension
 
 
-def _factorize(design: ExperimentalDesign, trend: str, kernel: CorrelationKernel,
-               nugget_start: float = _NUGGET_START):
-    """Cholesky pieces, trend coefficients and variance at fixed lengthscales.
+def _build(design: ExperimentalDesign, trend: str, kernel: CorrelationKernel,
+           r0: np.ndarray, nugget: float = _NUGGET_START) -> KrigingModel:
+    """The surrogate at fixed lengthscales from its nugget-free correlation matrix r0.
 
-    The nugget starts at ``nugget_start`` and escalates tenfold until the
+    The nugget starts at ``nugget`` and escalates tenfold until the Cholesky
     factorization succeeds, capped at 1e-6.
     """
     pts, y = design.points, design.responses
     n = pts.shape[0]
-    r0 = kernel_matrix(kernel, pts)
-    nugget = nugget_start
-    L = None
     while True:
         try:
             L = np.linalg.cholesky(r0 + nugget * np.eye(n))
@@ -193,17 +195,17 @@ def _factorize(design: ExperimentalDesign, trend: str, kernel: CorrelationKernel
     linv = solve_triangular(L, np.eye(n), lower=True)
     ft = linv @ f
     yt = linv @ y
-    m_small = ft.T @ ft
     try:
-        gc = np.linalg.cholesky(m_small)
+        gc = np.linalg.cholesky(ft.T @ ft)
     except np.linalg.LinAlgError:
         raise ConditioningError("trend basis is degenerate on this design") from None
     a = solve_triangular(gc.T, solve_triangular(gc, ft.T @ yt, lower=True), lower=False)
     resid_t = yt - ft @ a
-    sigma2 = float(resid_t @ resid_t) / n
-    w = linv.T @ resid_t
-    gci = solve_triangular(gc, np.eye(gc.shape[0]), lower=True)
-    return linv, ft, gci, a, sigma2, nugget, w
+    return KrigingModel(
+        design, trend, kernel, sigma2=float(resid_t @ resid_t) / n, a=a, nugget=nugget,
+        _linv=linv, _w=linv.T @ resid_t, _ft=ft,
+        _gci=solve_triangular(gc, np.eye(gc.shape[0]), lower=True),
+    )
 
 
 def krig_build(
@@ -219,39 +221,12 @@ def krig_build(
     """
     if kernel.dimension != design.dimension:
         raise ValueError("kernel dimension does not match the design")
-    linv, ft, gci, a, sigma2, nugget, w = _factorize(design, trend, kernel, nugget_start)
-    return KrigingModel(
-        design=design,
-        trend=trend,
-        kernel=kernel,
-        sigma2=sigma2,
-        a=a,
-        nugget=nugget,
-        _linv=linv,
-        _w=w,
-        _ft=ft,
-        _gci=gci,
-    )
-
-
-def _profiled_objective(design, trend, kernel) -> float:
-    """N log sigma2(theta) + log det R(theta), the quantity the MLE minimizes.
-
-    ``krig_fit`` uses it for its isotropic prescreen; it is also the
-    reference value against which a fit's optimality is checked.
-    """
-    try:
-        linv, ft, gci, a, sigma2, nugget, w = _factorize(design, trend, kernel)
-    except (ConditioningError, FitError):
-        return 1e30
-    n = design.size
-    # log det R = -2 sum log diag(Linv)
-    logdet = -2.0 * float(np.sum(np.log(np.diag(linv))))
-    return n * math.log(max(sigma2, 1e-300)) + logdet
+    return _build(design, trend, kernel, kernel_matrix(kernel, design.points), nugget_start)
 
 
 def _profiled_objective_grad(design, trend, kernel) -> tuple[float, np.ndarray]:
-    """The profiled objective and its gradient in the log-lengthscales.
+    """N log sigma2(theta) + log det R(theta), the quantity the MLE minimizes,
+    and its gradient in the log-lengthscales.
 
     With w = R^-1 (y - F a), the closed form is
     d f / d log theta_k = tr(R^-1 D_k) - w' D_k w / sigma2, where D_k is
@@ -261,20 +236,26 @@ def _profiled_objective_grad(design, trend, kernel) -> tuple[float, np.ndarray]:
     1e30 with a zero gradient.
     """
     th = np.asarray(kernel.theta)
-    try:
-        linv, ft, gci, a, sigma2, nugget, w = _factorize(design, trend, kernel)
-    except (ConditioningError, FitError):
-        return 1e30, np.zeros(th.size)
-    n = design.size
-    s2 = max(sigma2, 1e-300)
-    logdet = -2.0 * float(np.sum(np.log(np.diag(linv))))
     pts = design.points
     hp = (np.abs(pts[:, None, :] - pts[None, :, :]) / th) ** kernel.power  # (N, N, M)
     r0 = np.exp(-hp.sum(axis=2))
+    try:
+        model = _build(design, trend, kernel, r0)
+    except (ConditioningError, FitError):
+        return 1e30, np.zeros(th.size)
+    linv, w = model._linv, model._w
+    s2 = max(model.sigma2, 1e-300)
+    # log det R = -2 sum log diag(Linv)
+    logdet = -2.0 * float(np.sum(np.log(np.diag(linv))))
     # tr(A D_k) over all k at once, with A = R^-1 - w w' / sigma2 symmetric
     weights = (linv.T @ linv - np.outer(w, w) / s2) * r0
     grad = kernel.power * np.einsum("ij,ijk->k", weights, hp)
-    return n * math.log(s2) + logdet, grad
+    return design.size * math.log(s2) + logdet, grad
+
+
+def _profiled_objective(design, trend, kernel) -> float:
+    """The value of :func:`_profiled_objective_grad` alone (``krig_fit``'s prescreen)."""
+    return _profiled_objective_grad(design, trend, kernel)[0]
 
 
 def krig_fit(
@@ -379,14 +360,17 @@ def _predict_arrays(model: KrigingModel, xs: np.ndarray) -> tuple[np.ndarray, np
     return mu, var
 
 
-def krig_predict_batch(model: KrigingModel, xs, chunk: int = 20_000):
-    """Vectorized prediction: (means, standard deviations) per row of xs."""
+_BATCH = 20_000
+
+
+def krig_predict_batch(model: KrigingModel, xs):
+    """Vectorized prediction: (means, standard deviations) per row of xs, in blocks of 20,000."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = xs.shape[0]
     mu = np.empty(n)
     sd = np.empty(n)
-    for s in range(0, n, chunk):
-        e = min(s + chunk, n)
+    for s in range(0, n, _BATCH):
+        e = min(s + _BATCH, n)
         m_blk, v_blk = _predict_arrays(model, xs[s:e])
         mu[s:e] = m_blk
         sd[s:e] = np.sqrt(v_blk)
@@ -458,7 +442,6 @@ def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
     return pool[_most_uncertain(u_function(mu, sd), sd)].copy()
 
 
-_BATCH = 20_000
 # Past this many proposals per accepted draw and per input dimension, a
 # slice-chain draw (10 sweeps of d component updates) is cheaper than
 # rejection (one row of a batched prediction per proposal).  Timed
@@ -626,7 +609,6 @@ def krig_pf_bounds(
     k: float = 1.96,
     n: int = 100_000,
     seed=None,
-    batch: int = 50_000,
 ) -> tuple[float, float, float]:
     """Failure-probability band implied by the +-k sigma margin.
 
@@ -637,7 +619,7 @@ def krig_pf_bounds(
     if n < 1:
         raise ValueError("n must be >= 1")
     c_lo = c_mid = c_hi = 0
-    for xs in rv.sample_chunks(n, batch, seed=seed):
+    for xs in rv.sample_chunks(n, seed=seed):
         mu, sd = krig_predict_batch(model, xs)
         c_lo += int(np.count_nonzero(mu <= -k * sd))
         c_mid += int(np.count_nonzero(mu <= 0.0))
@@ -645,11 +627,11 @@ def krig_pf_bounds(
     return c_lo / n, c_mid / n, c_hi / n
 
 
-def initial_design(rv: RandomVector, n: int, seed=None, box: float = 5.0) -> np.ndarray:
+def initial_design(rv: RandomVector, n: int, seed=None) -> np.ndarray:
     """Space-filling start for surrogate training.
 
-    A Latin hypercube over the +-box standard-space cube mapped through the
-    inverse transform: covers the relevant probability content (box = 5
+    A Latin hypercube over the +-5 standard-space cube mapped through the
+    inverse transform: covers the relevant probability content (5
     deviations) rather than just the bulk of the input density.
     """
     if n < 1:
@@ -659,7 +641,7 @@ def initial_design(rv: RandomVector, n: int, seed=None, box: float = 5.0) -> np.
     u = np.empty((n, m))
     for j in range(m):
         u[:, j] = (rng.permutation(n) + rng.random(n)) / n
-    return np.atleast_2d(rv.from_standard(box * (2.0 * u - 1.0)))
+    return np.atleast_2d(rv.from_standard(5.0 * (2.0 * u - 1.0)))
 
 
 @dataclass
@@ -673,17 +655,18 @@ class AdaptiveResult:
     trace: list[dict] = field(default_factory=list)
 
 
-def _enrich(ls, rv, n0, budget, trend, refit_starts, s_design, s_fit, ledger, step, full_every):
+def _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, step, full_every):
     """The loop both adaptive methods share: refit, judge, add points.
 
-    The initial design of n0 points is evaluated, then each round refits the
-    surrogate (5 starts every ``full_every`` fits, else ``refit_starts``
-    from the last lengthscales) and calls ``step(model)``, which returns its
+    The initial design of max(12, 3M) points is evaluated, then each round
+    refits the surrogate (5 starts every ``full_every`` fits, else 2 from
+    the last lengthscales) and calls ``step(model)``, which returns its
     trace entry, a converged stop reason or None, and ``pick(room)``.  The
     loop stops on that reason, then on the budget, then on a
     :class:`MarginCollapsed` from ``pick``; otherwise it evaluates the
     points ``pick`` returns (possibly none) and goes round again.
     """
+    n0 = max(12, 3 * rv.dimension)
     if budget < n0:
         raise ValueError(f"budget {budget} is below the initial design size {n0}")
     pts = initial_design(rv, n0, seed=s_design)
@@ -695,7 +678,7 @@ def _enrich(ls, rv, n0, budget, trend, refit_starts, s_design, s_fit, ledger, st
             design,
             trend=trend,
             theta0=theta,
-            n_starts=5 if fits % full_every == 0 else refit_starts,
+            n_starts=5 if fits % full_every == 0 else 2,
             seed=s_fit.spawn(1)[0],
         )
         theta = model.kernel.theta
@@ -720,11 +703,9 @@ def ak_mcs(
     n_pool: int = 10_000,
     u_stop: float = 2.0,
     budget: int = 150,
-    n_initial: int | None = None,
     trend: str = "constant",
     seed=None,
     ledger: EvalLedger | None = None,
-    refit_starts: int = 2,
 ) -> AdaptiveResult:
     """One-point-at-a-time enrichment against a fixed Monte Carlo pool.
 
@@ -737,7 +718,6 @@ def ak_mcs(
     """
     rng = make_rng(seed)
     s_design, s_pool, s_fit = rng.spawn(3)
-    n0 = max(12, 3 * rv.dimension) if n_initial is None else int(n_initial)
     pool = rv.sample(n_pool, scheme="monte_carlo", seed=s_pool)
     added: set[int] = set()
 
@@ -756,9 +736,7 @@ def ak_mcs(
 
         return entry, "u_threshold" if min_u >= u_stop else None, pick
 
-    return _enrich(
-        ls, rv, n0, budget, trend, refit_starts, s_design, s_fit, ledger, step, full_every=10
-    )
+    return _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, step, full_every=10)
 
 
 def adaptive_margin_design(
@@ -773,7 +751,6 @@ def adaptive_margin_design(
     trend: str = "constant",
     seed=None,
     ledger: EvalLedger | None = None,
-    refit_starts: int = 2,
 ) -> AdaptiveResult:
     """Margin-sampling enrichment until the pf band is tight.
 
@@ -800,10 +777,7 @@ def adaptive_margin_design(
 
         return entry, "bounds_tight" if spread <= tol else None, pick
 
-    n0 = max(12, 3 * rv.dimension)
-    return _enrich(
-        ls, rv, n0, budget, trend, refit_starts, s_design, s_fit, ledger, step, full_every=4
-    )
+    return _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, step, full_every=4)
 
 
 def krig_to_json(model: KrigingModel) -> str:

@@ -26,16 +26,16 @@ def slice_sample(
     widths,
     thin: int = 10,
     burn_frac: float = 0.2,
-    max_stepout: int = 50,
     return_stats: bool = False,
 ):
     """Draw from an unnormalized density via componentwise slice sampling.
 
     Each sweep updates every coordinate in turn: draw a level under the
-    current density value, step the bracket out until it covers the slice,
-    then shrink it around rejected proposals until a point on the slice is
-    hit.  The kept chain applies ``thin`` sweeps between samples after
-    discarding a ``burn_frac`` fraction of the total run.
+    current density value, step the bracket out (at most 50 widths each
+    way) until it covers the slice, then shrink it around rejected proposals
+    until a point on the slice is hit.  The kept chain applies ``thin``
+    sweeps between samples after discarding a ``burn_frac`` fraction of the
+    total run.
 
     ``log_target`` maps a point to a log density (-inf outside the
     support).  ``widths`` sets the initial bracket size per coordinate,
@@ -76,13 +76,13 @@ def slice_sample(
             hi = lo + w[i]
             xi0 = x[i]
 
-            steps = max_stepout
+            steps = 50
             x[i] = lo
             while steps > 0 and logf(x) > level:
                 lo -= w[i]
                 x[i] = lo
                 steps -= 1
-            steps = max_stepout
+            steps = 50
             x[i] = hi
             while steps > 0 and logf(x) > level:
                 hi += w[i]

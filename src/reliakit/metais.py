@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimatorError
-from .estimators import _beta, _clean, _mean_cov
+from .estimators import _beta, _clean, _cov_of_mean, _mean_cov
 from .kriging import (
     KrigingModel,
     _sample_weighted,
@@ -116,7 +116,6 @@ def estimate_pf_epsilon(
     rv: RandomVector,
     n_eps: int = 100_000,
     seed=None,
-    batch: int = 100_000,
 ) -> tuple[float, float]:
     """Average classification probability over the input distribution.
 
@@ -127,15 +126,12 @@ def estimate_pf_epsilon(
         raise ValueError("n_eps must be >= 1")
     parts: list[float] = []
     parts_sq: list[float] = []
-    for xs in rv.sample_chunks(n_eps, batch, seed=seed):
+    for xs in rv.sample_chunks(n_eps, seed=seed):
         pi = classification_probability(*krig_predict_batch(model, xs))
         parts.append(float(np.sum(pi)))
         parts_sq.append(float(np.sum(pi * pi)))
     mean = math.fsum(parts) / n_eps
-    second = math.fsum(parts_sq) / n_eps
-    var = max(second - mean * mean, 0.0) / n_eps
-    cov = math.sqrt(var) / mean if mean > 0.0 else math.inf
-    return mean, cov
+    return mean, _cov_of_mean(mean, math.fsum(parts_sq) / n_eps, n_eps)
 
 
 def sample_instrumental(

@@ -518,7 +518,6 @@ def pce_pf(
     rv: RandomVector,
     n: int,
     seed=None,
-    batch: int = 100_000,
 ) -> ReliabilityResult:
     """Failure probability of the surrogate by crude Monte Carlo.
 
@@ -527,7 +526,7 @@ def pce_pf(
     if n < 1:
         raise ValueError("n must be >= 1")
     nf = 0
-    for xs in rv.sample_chunks(n, batch, seed=seed):
+    for xs in rv.sample_chunks(n, seed=seed):
         nf += int(np.count_nonzero(np.asarray(model.predict(xs)) <= 0.0))
     pf = nf / n
     cov = mc_cov(pf, n) if 0.0 < pf < 1.0 else (math.inf if nf == 0 else 0.0)

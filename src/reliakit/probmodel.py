@@ -39,6 +39,8 @@ _FAMILIES = ("gaussian", "uniform", "lognormal", "gamma", "beta")
 _P_LO = 1e-300
 _P_HI = 1.0 - 1e-16
 
+_SWEEP_BLOCK = 100_000
+
 
 def make_rng(seed) -> np.random.Generator:
     """Return a PCG64 generator; passes through an existing Generator."""
@@ -356,16 +358,16 @@ class RandomVector:
             return self.from_standard(ndtri(np.clip(p, _P_LO, _P_HI)))
         raise ValueError(f"unknown sampling scheme {scheme!r}")
 
-    def sample_chunks(self, n: int, batch: int, seed=None):
-        """Yield n Monte Carlo draws in consecutive blocks of at most batch rows.
+    def sample_chunks(self, n: int, seed=None):
+        """Yield n Monte Carlo draws in consecutive blocks of at most 100,000 rows.
 
-        The blocks come from one generator in order, so a given seed and
-        batch size always give the same draws; memory stays bounded by
-        ``batch`` rows whatever n is.
+        The blocks come from one generator in order, so a given seed always
+        gives the same draws; memory stays bounded by one block whatever n
+        is.
         """
         rng = make_rng(seed)
-        for done in range(0, n, batch):
-            yield self.sample(min(batch, n - done), scheme="monte_carlo", seed=rng)
+        for done in range(0, n, _SWEEP_BLOCK):
+            yield self.sample(min(_SWEEP_BLOCK, n - done), scheme="monte_carlo", seed=rng)
 
     def _check_dim(self, pts: np.ndarray):
         if pts.ndim != 2 or pts.shape[1] != self.dimension:

@@ -187,6 +187,30 @@ class TestMle:
             )
             assert best <= val + 1e-6
 
+    @pytest.mark.parametrize("trend", ["constant", "linear"])
+    def test_objective_matches_dense_oracle(self, trend):
+        from reliakit.kriging import _profiled_objective
+
+        design = one_d_design(10, seed=2)
+        kernel = CorrelationKernel("squared_exponential", (0.5,))
+        nugget = krig_build(design, trend, kernel).nugget
+        _, sigma2, r, *_ = dense_gls_oracle(design, trend, kernel, nugget)
+        sign, logdet = np.linalg.slogdet(r)
+        assert sign == 1.0
+        expected = design.size * math.log(sigma2) + logdet
+        assert _profiled_objective(design, trend, kernel) == pytest.approx(expected, rel=1e-10)
+
+    def test_objective_failure_branch(self):
+        from reliakit.kriging import _profiled_objective, _profiled_objective_grad
+
+        # two points cannot carry a linear trend in 1-D (FitError inside)
+        design = ExperimentalDesign(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+        kernel = CorrelationKernel("squared_exponential", (0.5,))
+        value, grad = _profiled_objective_grad(design, "linear", kernel)
+        assert value == 1e30
+        np.testing.assert_array_equal(grad, np.zeros(1))
+        assert _profiled_objective(design, "linear", kernel) == 1e30
+
     @pytest.mark.parametrize(
         "kind, power", [("squared_exponential", 2.0), ("generalized_exponential", 1.5)]
     )

@@ -16,6 +16,7 @@ from reliakit import (
     MetaIsResult,
     benchmark_linear,
     benchmark_waarts,
+    classification_probability,
     estimate_alpha_corr,
     estimate_pf_epsilon,
     evaluate_batch,
@@ -113,10 +114,14 @@ class TestPfEpsilon:
         assert cov2 == pytest.approx(cov1 / 2.0, rel=0.2)
 
     def test_chunking_does_not_change_the_sum(self):
+        # 250,000 draws span three sweep blocks; the blockwise sum must equal
+        # the compensated sum over one unblocked sample of the same stream
         model, rv = ambiguous_waarts_model()
-        a = estimate_pf_epsilon(model, rv, n_eps=30_000, seed=9, batch=30_000)
-        b = estimate_pf_epsilon(model, rv, n_eps=30_000, seed=9, batch=7_000)
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
+        pi = classification_probability(
+            *krig_predict_batch(model, rv.sample(250_000, seed=np.random.default_rng(9)))
+        )
+        value = estimate_pf_epsilon(model, rv, n_eps=250_000, seed=9)[0]
+        assert value == math.fsum(pi) / 250_000
 
 
 class TestSampler:

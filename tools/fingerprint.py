@@ -11,7 +11,9 @@ last-bit difference shows up.  Covered:
 
 * meta-IS on four-branch at the benchmark settings (n_corr 200, budget 48,
   8 clusters, tol 0) for two seeds;
-* AK-MCS on four-branch with a 2e4 pool;
+* AK-MCS on four-branch with a 2e4 pool, and two surrogate sweeps on its
+  model that span several sampling blocks: the pf band at n = 1e6 and
+  pf_epsilon at n = 2.5e5;
 * the ``reliakit compare`` CSV on ``perfbench/compare_physical.json`` at
   seed 0;
 * FORM and FOSM on the compare problem and on four-branch;
@@ -43,7 +45,9 @@ from reliakit import (  # noqa: E402
     basis_to_physical,
     benchmark_waarts,
     cornell_index,
+    estimate_pf_epsilon,
     form,
+    krig_pf_bounds,
     metais_estimate,
     physical_to_basis,
     standard_normal_vector,
@@ -94,8 +98,11 @@ def _metais(seed: int) -> dict:
 
 
 def _akmcs() -> dict:
-    res = ak_mcs(benchmark_waarts(), standard_normal_vector(2), n_pool=20_000, seed=0)
+    rv = standard_normal_vector(2)
+    res = ak_mcs(benchmark_waarts(), rv, n_pool=20_000, seed=0)
     return {
+        "pf_bounds_1e6": krig_pf_bounds(res.model, rv, n=1_000_000, seed=0),
+        "pf_epsilon_2p5e5": estimate_pf_epsilon(res.model, rv, n_eps=250_000, seed=0),
         "n_calls": res.n_calls,
         "converged": res.converged,
         "stop_reason": res.stop_reason,
