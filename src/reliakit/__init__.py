@@ -82,7 +82,6 @@ from .pce import (
     pce_pf,
     physical_to_basis,
     truncation_set,
-    univariate_orthonormal,
 )
 from .probmodel import Marginal, RandomVector, make_rng, standard_normal_vector
 from .response_surface import QuadraticSurface, qrs_basis, qrs_fit, qrs_n_coeffs

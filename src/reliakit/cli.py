@@ -16,8 +16,9 @@ import math
 import os
 import sys
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import (
     ConditioningError,
@@ -225,6 +226,10 @@ _RUN_SCHEMA = {
     "additionalProperties": False,
 }
 
+# Built once; jsonschema.validate would re-check each schema on every call.
+_RUN_VALIDATOR = validator_for(_RUN_SCHEMA)(_RUN_SCHEMA)
+_METHOD_VALIDATOR = validator_for(_METHOD_SCHEMA)(_METHOD_SCHEMA)
+
 
 class ConfigError(ValueError):
     """Invalid configuration (schema, file, or override syntax)."""
@@ -243,6 +248,13 @@ def _parse_json(text: str):
     return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
 
 
+def _validate(validator, instance, context: str):
+    """Raise ConfigError with the error jsonschema.validate would have raised."""
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise ConfigError(f"{context}: {error.message}")
+
+
 def _load_config(path: str, require: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -251,10 +263,7 @@ def _load_config(path: str, require: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(cfg, _RUN_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from None
+    _validate(_RUN_VALIDATOR, cfg, "config schema violation")
     if require not in cfg:
         raise ConfigError(f"config must contain a {require!r} entry for this subcommand")
     return cfg
@@ -291,10 +300,7 @@ def _apply_overrides(method: dict, overrides: list[str]) -> dict:
         except json.JSONDecodeError:
             val = raw
         out[key.strip()] = val
-    try:
-        jsonschema.validate(out, _METHOD_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"method options invalid after overrides: {exc.message}") from None
+    _validate(_METHOD_VALIDATOR, out, "method options invalid after overrides")
     return out
 
 
@@ -342,7 +348,7 @@ def _run_method(
         return estimate_mc(ls, rv, opts.get("n", 100_000), seed=rng, ledger=ledger).to_dict()
     if name == "is":
         inst = _instrumental(rv, opts.get("instrumental", {"type": "input"}))
-        return estimate_is(ls, inst, lambda xs: np.asarray(rv.joint_pdf(xs)),
+        return estimate_is(ls, inst, rv.joint_pdf,
                            opts.get("n", 10_000), seed=rng, ledger=ledger).to_dict()
     if name == "fosm":
         return cornell_index(ls, rv, ledger=ledger, **opts).to_dict()
@@ -440,6 +446,15 @@ def _resolve_output(cfg: dict, args) -> tuple[str | None, str]:
     return path, form_
 
 
+def _write_text(path: str | None, text: str) -> None:
+    """Write the output text to path, or to stdout when no path is set."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _resolve_seed(cfg: dict, args) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -459,11 +474,7 @@ def run(args) -> int:
         text = _result_csv_rows([doc])
     else:
         text = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(path, text)
     print(_summary_line(doc), file=sys.stderr)
     return _EXIT_OK
 
@@ -485,12 +496,7 @@ def compare(args) -> int:
             failures += 1
             print(f"method {method['name']} failed: {exc}", file=sys.stderr)
         docs.append(doc)
-    text = _result_csv_rows(docs)
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(path, _result_csv_rows(docs))
     return _EXIT_NUMERICAL if failures == len(docs) else _EXIT_OK
 
 

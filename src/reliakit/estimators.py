@@ -172,7 +172,7 @@ class InstrumentalDensity:
     def from_random_vector(cls, rv: RandomVector) -> "InstrumentalDensity":
         return cls(
             sampler=lambda rng, n: rv.sample(n, scheme="monte_carlo", seed=rng),
-            density=lambda xs: np.asarray(rv.joint_pdf(xs)),
+            density=rv.joint_pdf,
         )
 
     @classmethod
@@ -424,7 +424,7 @@ def form(
         extras={
             "beta_hl": beta,
             "design_point_u": u_star.tolist(),
-            "design_point_x": np.asarray(rv.from_standard(u_star)).tolist(),
+            "design_point_x": rv.from_standard(u_star[None, :])[0].tolist(),
             "alpha": alpha.tolist(),
             "n_solutions": len(unique),
         },

@@ -72,32 +72,24 @@ __all__ = [
 _NUGGET_START = 1e-10
 _NUGGET_MAX = 1e-6
 
-_KERNELS = ("squared_exponential", "generalized_exponential")
-
 
 @dataclass(frozen=True)
 class CorrelationKernel:
     """Stationary correlation exp(-sum_k (|h_k| / theta_k)^power).
 
-    ``power`` is 2 for the squared-exponential kind and may be any value in
-    (0, 2] for the generalized kind.  R(0) = 1 and R(h) = R(-h) by
-    construction.
+    ``power`` may be any value in (0, 2]; the default 2 is the squared
+    exponential.  R(0) = 1 and R(h) = R(-h) by construction.
     """
 
-    kind: str
     theta: tuple[float, ...]
     power: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in _KERNELS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
         th = tuple(float(t) for t in np.atleast_1d(np.asarray(self.theta, dtype=float)))
         if any(t <= 0.0 for t in th):
             raise ValueError("lengthscales must be positive")
         object.__setattr__(self, "theta", th)
         q = float(self.power)
-        if self.kind == "squared_exponential":
-            q = 2.0
         if not 0.0 < q <= 2.0:
             raise ValueError("kernel power must lie in (0, 2]")
         object.__setattr__(self, "power", q)
@@ -261,7 +253,6 @@ def _profiled_objective(design, trend, kernel) -> float:
 def krig_fit(
     design: ExperimentalDesign,
     trend: str = "constant",
-    kernel_kind: str = "squared_exponential",
     power: float = 2.0,
     theta0=None,
     n_starts: int = 5,
@@ -286,7 +277,7 @@ def krig_fit(
     rng = make_rng(seed)
 
     def kernel_at(log_theta):
-        return CorrelationKernel(kernel_kind, tuple(np.exp(log_theta)), power)
+        return CorrelationKernel(tuple(np.exp(log_theta)), power)
 
     def objective_grad(log_theta):
         return _profiled_objective_grad(design, trend, kernel_at(log_theta))
@@ -319,7 +310,7 @@ def krig_fit(
         if best is None or res.fun < best.fun:
             best = res
     theta = np.exp(best.x)
-    kern = CorrelationKernel(kernel_kind, tuple(theta), power)
+    kern = CorrelationKernel(tuple(theta), power)
     model = krig_build(design, trend, kern)
     # L-BFGS-B can stop ~1e-7 log units inside a pinned bound, so detection
     # needs slack; 1e-4 log units is still only 0.01% in theta
@@ -511,18 +502,20 @@ def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
         starts, burn = best[None, :], 0.2
 
     def log_target(u):
-        mu, var = _predict_arrays(model, np.atleast_2d(rv.from_standard(u)))
+        mu, var = _predict_arrays(model, rv.from_standard(u[None, :]))
         w = float(weight(mu, np.sqrt(var))[0])
         if w <= 0.0:
             return -math.inf
         return math.log(w) - 0.5 * float(u @ u)
 
     chains = {"n_chains": starts.shape[0], "n_sweeps": 0, "target_evals": 0}
+    # One transform per start: a batched triangular solve under correlation
+    # can differ from the one-row solve in the last bit, which moves the chains.
     for j, x0 in enumerate(starts):
         m = missing // starts.shape[0] + (j < missing % starts.shape[0])
         chain, stats = slice_sample(
             log_target,
-            rv.to_standard(x0),
+            rv.to_standard(x0[None, :]),
             m,
             rng,
             widths=1.0,
@@ -530,7 +523,7 @@ def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
             burn_frac=burn,
             return_stats=True,
         )
-        kept.append(np.atleast_2d(rv.from_standard(chain)))
+        kept.append(rv.from_standard(chain))
         chains["n_sweeps"] += stats["n_sweeps"]
         chains["target_evals"] += stats["target_evals"]
     return np.concatenate(kept), {"sampler": "slice", **record, **chains}
@@ -572,26 +565,24 @@ def enrich_margin(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # kmeans2 warns on empty clusters
         centroids, labels = kmeans2(samples, kk, minit="++", seed=rng)
+    # _is_new_point also turns away a sample already chosen (distance 0).
     chosen: list[np.ndarray] = []
-    used: set[int] = set()
     for c in range(kk):
         members = np.flatnonzero(labels == c)
         if members.size == 0:
             continue
         d2 = np.sum((samples[members] - centroids[c]) ** 2, axis=1)
         for j in members[np.argsort(d2)]:
-            if int(j) not in used and _is_new_point(samples[j], model.design.points, chosen):
+            if _is_new_point(samples[j], model.design.points, chosen):
                 chosen.append(samples[j])
-                used.add(int(j))
                 break
     # Top up from unused samples if clusters collapsed onto each other.
     if len(chosen) < kk:
         for j in rng.permutation(samples.shape[0]):
             if len(chosen) >= kk:
                 break
-            if int(j) not in used and _is_new_point(samples[j], model.design.points, chosen):
+            if _is_new_point(samples[j], model.design.points, chosen):
                 chosen.append(samples[j])
-                used.add(int(j))
     if not chosen:
         raise MarginCollapsed("margin sampling produced no usable new point")
     return np.array(chosen)
@@ -641,7 +632,7 @@ def initial_design(rv: RandomVector, n: int, seed=None) -> np.ndarray:
     u = np.empty((n, m))
     for j in range(m):
         u[:, j] = (rng.permutation(n) + rng.random(n)) / n
-    return np.atleast_2d(rv.from_standard(5.0 * (2.0 * u - 1.0)))
+    return rv.from_standard(5.0 * (2.0 * u - 1.0))
 
 
 @dataclass
@@ -789,7 +780,6 @@ def krig_to_json(model: KrigingModel) -> str:
         },
         "trend": model.trend,
         "kernel": {
-            "kind": model.kernel.kind,
             "theta": list(model.kernel.theta),
             "power": model.kernel.power,
         },
@@ -804,16 +794,14 @@ def krig_from_json(text: str) -> KrigingModel:
     """Rebuild a surrogate from :func:`krig_to_json` output.
 
     The factorization is recomputed; the stored coefficients act as a
-    consistency check against the rebuilt ones.
+    consistency check against the rebuilt ones.  An older kernel ``kind`` key is ignored.
     """
     doc = json.loads(text)
     design = ExperimentalDesign(
         np.asarray(doc["design"]["points"], dtype=float),
         np.asarray(doc["design"]["responses"], dtype=float),
     )
-    kern = CorrelationKernel(
-        doc["kernel"]["kind"], tuple(doc["kernel"]["theta"]), doc["kernel"]["power"]
-    )
+    kern = CorrelationKernel(tuple(doc["kernel"]["theta"]), doc["kernel"]["power"])
     model = krig_build(design, doc["trend"], kern, nugget_start=doc["nugget"])
     stored_a = np.asarray(doc["a"], dtype=float)
     if not np.allclose(model.a, stored_a, rtol=1e-6, atol=1e-10):

@@ -96,19 +96,14 @@ class MetaIsResult:
         )
 
 
-def instrumental_density(model: KrigingModel, rv: RandomVector, x) -> np.ndarray | float:
-    """Unnormalized instrumental density pi(x) * f_X(x).
+def instrumental_density(model: KrigingModel, rv: RandomVector, x) -> np.ndarray:
+    """Unnormalized instrumental density pi(x) * f_X(x) at rows x (n, M).
 
     The normalizing constant is pf_epsilon, but no consumer ever needs it:
     the sampler works on the unnormalized target and the estimator divides
     by pi alone.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    mu, sd = krig_predict_batch(model, pts)
-    vals = classification_probability(mu, sd) * np.asarray(rv.joint_pdf(pts))
-    return float(vals[0]) if single else vals
+    return classification_probability(*krig_predict_batch(model, x)) * rv.joint_pdf(x)
 
 
 def estimate_pf_epsilon(

@@ -30,13 +30,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, roots_genlaguerre, roots_jacobi
 
 from .errors import FitError
-from .estimators import ReliabilityResult, mc_cov
+from .estimators import ReliabilityResult, _clean, mc_cov
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
 from .probmodel import RandomVector, make_rng
 
 __all__ = [
     "PolynomialFamily",
-    "univariate_orthonormal",
     "orthonormal_table",
     "gauss_rule",
     "truncation_set",
@@ -154,13 +153,6 @@ def orthonormal_table(family: PolynomialFamily, degree: int, x) -> np.ndarray:
     return out
 
 
-def univariate_orthonormal(family: PolynomialFamily, k: int, x):
-    """The degree-k orthonormal polynomial of one family at point(s) x."""
-    table = orthonormal_table(family, k, x)
-    val = table[..., k]
-    return float(val) if np.isscalar(x) or np.asarray(x).ndim == 0 else val
-
-
 def gauss_rule(family: PolynomialFamily, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and probability weights (summing to 1) for one family.
 
@@ -242,17 +234,6 @@ class PceBasis:
             psi[:, j] = col
         return psi
 
-    def eval_index(self, alpha: tuple[int, ...], xi) -> np.ndarray | float:
-        """One tensorized basis polynomial at basis-space point(s) xi."""
-        xi = np.asarray(xi, dtype=float)
-        single = xi.ndim == 1
-        pts = np.atleast_2d(xi)
-        val = np.ones(pts.shape[0])
-        for i, k in enumerate(alpha):
-            if k:
-                val *= orthonormal_table(self.families[i], k, pts[:, i])[:, k]
-        return float(val[0]) if single else val
-
 
 def _basis_map(marg) -> tuple[PolynomialFamily, bool, float, float, float]:
     """(family, log, loc, scale, shift) of one independent marginal.
@@ -327,13 +308,9 @@ class PceModel:
         if self.coefficients.shape != (self.basis.size,):
             raise ValueError("coefficient count must equal the basis size")
 
-    def predict(self, x) -> np.ndarray | float:
-        """Surrogate response at physical point(s) x."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xi = physical_to_basis(self.rv, np.atleast_2d(x))
-        vals = self.basis.evaluate(xi) @ self.coefficients
-        return float(vals[0]) if single else vals
+    def predict(self, x) -> np.ndarray:
+        """Surrogate response at physical rows x (n, M)."""
+        return self.basis.evaluate(physical_to_basis(self.rv, x)) @ self.coefficients
 
     def coefficient(self, alpha: tuple[int, ...]) -> float:
         try:
@@ -346,7 +323,7 @@ class PceModel:
         return LimitState(
             dimension=self.basis.dimension,
             name=name,
-            vector_evaluator=lambda xs: np.asarray(self.predict(xs)),
+            vector_evaluator=self.predict,
         )
 
     def to_json(self) -> str:
@@ -357,10 +334,7 @@ class PceModel:
             ],
             "indices": [list(a) for a in self.basis.indices],
             "coefficients": self.coefficients.tolist(),
-            "diagnostics": {
-                k: (None if isinstance(v, float) and not math.isfinite(v) else v)
-                for k, v in self.diagnostics.items()
-            },
+            "diagnostics": _clean(self.diagnostics),
         }
         return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -527,7 +501,7 @@ def pce_pf(
         raise ValueError("n must be >= 1")
     nf = 0
     for xs in rv.sample_chunks(n, seed=seed):
-        nf += int(np.count_nonzero(np.asarray(model.predict(xs)) <= 0.0))
+        nf += int(np.count_nonzero(model.predict(xs) <= 0.0))
     pf = nf / n
     cov = mc_cov(pf, n) if 0.0 < pf < 1.0 else (math.inf if nf == 0 else 0.0)
     return ReliabilityResult(

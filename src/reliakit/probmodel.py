@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -222,15 +221,12 @@ class RandomVector:
     # -- transforms --------------------------------------------------------
 
     def to_standard(self, x) -> np.ndarray:
-        """Map physical point(s) to independent standard normal coordinates.
+        """Map physical rows (n, M) to independent standard normal coordinates.
 
-        Accepts a single point of shape (M,) or a batch (n, M); raises
-        :class:`DomainError` if any component lies outside the open support
-        of its marginal.
+        Raises :class:`DomainError` if any component lies outside the open
+        support of its marginal.
         """
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
+        pts = np.asarray(x, dtype=float)
         self._check_dim(pts)
         z = np.empty_like(pts)
         for i, marg in enumerate(self.marginals):
@@ -251,13 +247,11 @@ class RandomVector:
                 z[:, i] = ndtri(np.clip(marg.cdf(col), _P_LO, _P_HI))
         if self._chol is not None:
             z = solve_triangular(self._chol, z.T, lower=True).T
-        return z[0] if single else z
+        return z
 
     def from_standard(self, u) -> np.ndarray:
-        """Inverse isoprobabilistic transform (standard normal -> physical)."""
-        u = np.asarray(u, dtype=float)
-        single = u.ndim == 1
-        pts = np.atleast_2d(u)
+        """Inverse isoprobabilistic transform of rows (n, M), standard normal -> physical."""
+        pts = np.asarray(u, dtype=float)
         self._check_dim(pts)
         if not np.isfinite(pts).all():
             raise DomainError("standard-space point has non-finite components")
@@ -275,23 +269,20 @@ class RandomVector:
                 x[:, i] = marg.quantile(ndtr(z[:, i]))
         if not np.all(np.isfinite(x)):
             raise OverflowError("inverse transform overflowed the marginal range")
-        return x[0] if single else x
+        return x
 
     # -- densities ---------------------------------------------------------
 
-    def joint_pdf(self, x) -> np.ndarray | float:
-        """Joint density at point(s) x; zero outside the support."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
+    def joint_pdf(self, x) -> np.ndarray:
+        """Joint density at rows x (n, M); zero outside the support."""
+        pts = np.asarray(x, dtype=float)
         self._check_dim(pts)
         dens = np.ones(pts.shape[0])
         for i, marg in enumerate(self.marginals):
             dens *= marg.pdf(pts[:, i])
         if self._chol is not None:
             dens *= self._copula_density(pts)
-        out = np.where(np.isfinite(dens), dens, 0.0)
-        return float(out[0]) if single else out
+        return np.where(np.isfinite(dens), dens, 0.0)
 
     def _copula_density(self, pts: np.ndarray) -> np.ndarray:
         z = np.empty_like(pts)
@@ -343,10 +334,10 @@ class RandomVector:
             raise ValueError("sample size must be >= 1")
         rng = make_rng(seed)
         m = self.dimension
-        if scheme in ("monte_carlo", "mc"):
+        if scheme == "monte_carlo":
             u = rng.standard_normal((n, m))
             return self.from_standard(u)
-        if scheme in ("latin_hypercube", "lhs"):
+        if scheme == "latin_hypercube":
             p = np.empty((n, m))
             for j in range(m):
                 p[:, j] = (rng.permutation(n) + rng.random(n)) / n

@@ -27,21 +27,18 @@ def qrs_n_coeffs(m: int, include_cross: bool = True) -> int:
 
 
 def qrs_basis(x, include_cross: bool = True) -> np.ndarray:
-    """Quadratic regression basis evaluated at point(s) x.
+    """Quadratic regression basis evaluated at rows x (n, m).
 
     Column order: constant, the m linear terms, the m pure squares, then
     the cross products x_i x_j for i < j in row-major pair order.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    pts = np.asarray(x, dtype=float)
     n, m = pts.shape
     cols = [np.ones((n, 1)), pts, pts**2]
     if include_cross and m > 1:
         cross = [pts[:, [i]] * pts[:, [j]] for i in range(m) for j in range(i + 1, m)]
         cols.append(np.hstack(cross))
-    out = np.hstack(cols)
-    return out[0] if single else out
+    return np.hstack(cols)
 
 
 @dataclass
@@ -67,16 +64,14 @@ class QuadraticSurface:
     def dimension(self) -> int:
         return self.linear.size
 
-    def predict(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        vals = (
+    def predict(self, x) -> np.ndarray:
+        """ghat at rows x (n, M)."""
+        pts = np.asarray(x, dtype=float)
+        return (
             self.constant
             + pts @ self.linear
             + np.einsum("ni,ij,nj->n", pts, self.quadratic, pts)
         )
-        return float(vals[0]) if single else vals
 
     def coefficients(self, include_cross: bool = True) -> np.ndarray:
         """Coefficient vector in :func:`qrs_basis` column order."""
@@ -93,7 +88,7 @@ class QuadraticSurface:
         return LimitState(
             dimension=self.dimension,
             name=name,
-            vector_evaluator=lambda xs: np.asarray(self.predict(xs)),
+            vector_evaluator=self.predict,
         )
 
 

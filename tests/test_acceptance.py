@@ -97,7 +97,7 @@ def test_acceptance_03_meta_is_unbiased_where_substitution_is_not():
     coarse = krig_build(
         ExperimentalDesign(pts, evaluate_batch(ls, pts)),
         "constant",
-        CorrelationKernel("squared_exponential", (0.8, 0.8)),
+        CorrelationKernel((0.8, 0.8)),
     )
     n_seeds, n_sweep = 50, 30_000
     meta = np.empty(n_seeds)
@@ -210,7 +210,7 @@ def test_acceptance_07_kriging_closed_forms():
     x = np.sort(rng.uniform(0.0, 3.0, size=12))[:, None]
     y = np.sin(2.0 * x[:, 0]) + 0.3 * x[:, 0]
     design = ExperimentalDesign(x, y)
-    kernel = CorrelationKernel("squared_exponential", (0.7,))
+    kernel = CorrelationKernel((0.7,))
     model = krig_build(design, "constant", kernel)
 
     mu, _ = krig_predict_batch(model, x)

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from jsonschema.validators import validator_for
 
 import reliakit
 from reliakit.cli import main
@@ -175,6 +176,11 @@ class TestModelErrors:
 
 
 class TestConfigValidation:
+    def test_schemas_are_valid(self):
+        # the CLI builds its validators once without checking the schemas
+        for schema in (reliakit.cli._RUN_SCHEMA, reliakit.cli._METHOD_SCHEMA):
+            validator_for(schema).check_schema(schema)
+
     def test_missing_file(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 

@@ -212,7 +212,7 @@ class TestForm:
         res = form(ls, rv)
         x_star = np.asarray(res.extras["design_point_x"])
         assert ls(x_star) == pytest.approx(0.0, abs=1e-6)
-        u_star = rv.to_standard(x_star)
+        u_star = rv.to_standard(x_star[None, :])[0]
         assert np.linalg.norm(u_star) == pytest.approx(res.extras["beta_hl"], abs=1e-6)
 
     def test_negative_beta_when_origin_fails(self):

@@ -29,7 +29,6 @@ from reliakit import (
     physical_to_basis,
     standard_normal_vector,
     truncation_set,
-    univariate_orthonormal,
 )
 
 HERMITE = PolynomialFamily("hermite")
@@ -51,12 +50,12 @@ class TestUnivariateTables:
             np.testing.assert_allclose(orthonormal_table(fam, 0, np.abs(x) + 0.1)[:, 0], 1.0)
 
     def test_hermite_reference_points(self):
-        assert univariate_orthonormal(HERMITE, 2, 0.0) == pytest.approx(-1.0 / math.sqrt(2.0))
-        assert univariate_orthonormal(HERMITE, 1, 1.5) == pytest.approx(1.5)
+        assert orthonormal_table(HERMITE, 2, 0.0)[2] == pytest.approx(-1.0 / math.sqrt(2.0))
+        assert orthonormal_table(HERMITE, 1, 1.5)[1] == pytest.approx(1.5)
 
     def test_legendre_reference_points(self):
-        assert univariate_orthonormal(LEGENDRE, 1, 1.0) == pytest.approx(math.sqrt(3.0))
-        assert univariate_orthonormal(LEGENDRE, 2, 0.0) == pytest.approx(-math.sqrt(5.0) / 2.0)
+        assert orthonormal_table(LEGENDRE, 1, 1.0)[1] == pytest.approx(math.sqrt(3.0))
+        assert orthonormal_table(LEGENDRE, 2, 0.0)[2] == pytest.approx(-math.sqrt(5.0) / 2.0)
 
     def test_hermite_against_scipy(self):
         x = np.linspace(-4, 4, 41)
@@ -153,16 +152,16 @@ class TestMultivariateBasis:
         vals = basis.evaluate(x)[0]
         assert vals[0] == pytest.approx(1.0)  # alpha = (0,0)
         assert vals[basis.indices.index((1, 1))] == pytest.approx(2.0)
-        assert basis.eval_index((2, 0), np.array([[0.0, 7.0]]))[0] == pytest.approx(
-            -1.0 / math.sqrt(2.0)
-        )
+        one = PceBasis(basis.families, ((2, 0),))
+        assert one.evaluate(np.array([[0.0, 7.0]]))[0, 0] == pytest.approx(-1.0 / math.sqrt(2.0))
 
     def test_tensor_product_structure(self):
         basis = PceBasis((HERMITE, LEGENDRE), truncation_set(2, 3))
         x = np.array([[0.7, -0.2]])
         for i, alpha in enumerate(basis.indices):
-            want = univariate_orthonormal(HERMITE, alpha[0], 0.7) * univariate_orthonormal(
-                LEGENDRE, alpha[1], -0.2
+            want = (
+                orthonormal_table(HERMITE, alpha[0], 0.7)[alpha[0]]
+                * orthonormal_table(LEGENDRE, alpha[1], -0.2)[alpha[1]]
             )
             assert basis.evaluate(x)[0, i] == pytest.approx(want, rel=1e-12)
 
@@ -245,9 +244,9 @@ class TestBasisMaps:
         x = rv.sample(200, seed=5)
         xi = physical_to_basis(rv, x)
         np.testing.assert_allclose(basis_to_physical(rv, xi), x, rtol=1e-10)
-        single = basis_to_physical(rv, physical_to_basis(rv, x[0]))
-        assert single.shape == (5,)
-        np.testing.assert_allclose(single, x[0], rtol=1e-10)
+        one = basis_to_physical(rv, physical_to_basis(rv, x[:1]))
+        assert one.shape == (1, 5)
+        np.testing.assert_allclose(one, x[:1], rtol=1e-10)
 
     def test_basis_variables_lie_on_each_family_support(self):
         rv = RandomVector(self.MARGINALS)
@@ -315,10 +314,10 @@ class TestProjection:
         rv = standard_normal_vector(2)
         basis = basis_for(rv, 3)
         target = (2, 1)
+        one = PceBasis(basis.families, (target,))
 
         def func(x):
-            xi = rv.to_standard(np.atleast_2d(x))
-            return float(basis.eval_index(target, xi)[0])
+            return float(one.evaluate(rv.to_standard(x[None, :]))[0, 0])
 
         ls = LimitState(2, func)
         model = pce_fit_projection(ls, rv, basis, quad_level=5)

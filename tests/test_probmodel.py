@@ -77,27 +77,27 @@ class TestMarginal:
 class TestTransform:
     def test_identity_for_standard_normal(self):
         rv = standard_normal_vector(3)
-        x = np.array([0.3, -1.2, 2.0])
+        x = np.array([[0.3, -1.2, 2.0]])
         np.testing.assert_allclose(rv.to_standard(x), x, atol=1e-12)
         np.testing.assert_allclose(rv.from_standard(x), x, atol=1e-12)
 
     def test_uniform_median_maps_to_origin(self):
         rv = RandomVector((Marginal.uniform(2.0, 6.0),))
-        assert rv.to_standard(np.array([4.0]))[0] == pytest.approx(0.0, abs=1e-12)
+        assert rv.to_standard(np.array([[4.0]]))[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_lognormal_map_against_cdf_oracle(self):
         # u = PhiInv(F(x)) computed independently from the lognormal CDF
         rv = RandomVector((Marginal.lognormal(0.3, 0.8),))
         x = 2.4
         u_oracle = ndtri(stats.lognorm(s=0.8, scale=math.exp(0.3)).cdf(x))
-        assert rv.to_standard(np.array([x]))[0] == pytest.approx(u_oracle, abs=1e-10)
-        assert rv.to_standard(np.array([x]))[0] == pytest.approx((math.log(x) - 0.3) / 0.8)
+        assert rv.to_standard(np.array([[x]]))[0, 0] == pytest.approx(u_oracle, abs=1e-10)
+        assert rv.to_standard(np.array([[x]]))[0, 0] == pytest.approx((math.log(x) - 0.3) / 0.8)
 
     def test_gamma_median_maps_near_origin(self):
         marg = Marginal.gamma(2.0, 1.5)
         rv = RandomVector((marg,))
         med = marg.quantile(0.5)
-        assert rv.to_standard(np.array([med]))[0] == pytest.approx(0.0, abs=1e-9)
+        assert rv.to_standard(np.array([[med]]))[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_round_trip_batches(self, seed):
@@ -118,14 +118,14 @@ class TestTransform:
     def test_outside_support_raises(self):
         rv = RandomVector((Marginal.uniform(0.0, 1.0),))
         with pytest.raises(DomainError):
-            rv.to_standard(np.array([1.5]))
+            rv.to_standard(np.array([[1.5]]))
         with pytest.raises(DomainError):
-            rv.to_standard(np.array([0.0]))  # boundary excluded
+            rv.to_standard(np.array([[0.0]]))  # boundary excluded
 
     def test_nonfinite_standard_point_raises(self):
         rv = standard_normal_vector(2)
         with pytest.raises(DomainError):
-            rv.from_standard(np.array([np.nan, 0.0]))
+            rv.from_standard(np.array([[np.nan, 0.0]]))
 
 
 class TestCorrelationValidation:
@@ -152,12 +152,11 @@ class TestCorrelationValidation:
 class TestJointPdf:
     def test_standard_normal_at_origin(self):
         rv = standard_normal_vector(2)
-        assert rv.joint_pdf(np.zeros(2)) == pytest.approx(1.0 / (2.0 * math.pi))
+        assert rv.joint_pdf(np.zeros((1, 2)))[0] == pytest.approx(1.0 / (2.0 * math.pi))
 
     def test_unit_square_uniform(self):
         rv = RandomVector((Marginal.uniform(-1, 1), Marginal.uniform(-1, 1)))
-        assert rv.joint_pdf(np.array([0.2, -0.7])) == pytest.approx(0.25)
-        assert rv.joint_pdf(np.array([1.5, 0.0])) == 0.0
+        np.testing.assert_allclose(rv.joint_pdf(np.array([[0.2, -0.7], [1.5, 0.0]])), [0.25, 0.0])
 
     def test_independent_product(self):
         rv = mixed_vector()

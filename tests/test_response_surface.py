@@ -125,7 +125,7 @@ class TestSurfaceObject:
             quadratic=np.array([[0.5, 0.25], [0.25, 0.0]]),
         )
         # 1 + 2*1 + (0.5*1 + 2*0.25*1*2) = 4.5
-        assert surf.predict(np.array([1.0, 2.0])) == pytest.approx(4.5)
+        assert surf.predict(np.array([[1.0, 2.0]])) == pytest.approx([4.5])
 
     def test_to_limit_state_round_trip(self):
         g, *_ = random_quadratic(2, seed=10)

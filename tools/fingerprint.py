@@ -18,7 +18,12 @@ last-bit difference shows up.  Covered:
   seed 0;
 * FORM and FOSM on the compare problem and on four-branch;
 * both PCE maps (physical to basis and back) on a vector with all five
-  marginal families, independent and correlated.
+  marginal families, independent and correlated;
+* 50 instrumental draws, with the sampler record, for two targets so rare
+  that slice chains supply the draws: an exact linear surrogate at
+  beta = 4.5 in standard normal space (one chain), and a linear surrogate
+  on correlated non-gaussian inputs (eleven chains, so eleven starts are
+  mapped to standard space under a correlation).
 
 It takes well under a minute on a two-core machine.
 """
@@ -38,18 +43,26 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from reliakit import (  # noqa: E402
     ConditioningError,
+    CorrelationKernel,
+    ExperimentalDesign,
+    LimitState,
     Marginal,
     RandomVector,
     ak_mcs,
     basis_for,
     basis_to_physical,
+    benchmark_linear,
     benchmark_waarts,
     cornell_index,
     estimate_pf_epsilon,
+    evaluate_batch,
     form,
+    initial_design,
+    krig_build,
     krig_pf_bounds,
     metais_estimate,
     physical_to_basis,
+    sample_instrumental,
     standard_normal_vector,
 )
 from reliakit import cli  # noqa: E402
@@ -141,9 +154,41 @@ def _pce_maps() -> dict:
             "families": [[f.kind, f.alpha, f.beta] for f in basis_for(rv, 1).families],
             "to_basis": xi,
             "to_physical": basis_to_physical(rv, xi),
-            "single_point": basis_to_physical(rv, physical_to_basis(rv, x[0])),
+            "single_point": basis_to_physical(rv, physical_to_basis(rv, x[:1])),
         }
     return out
+
+
+def _squared_exponential(theta) -> CorrelationKernel:
+    # Earlier versions of the package named the kernel kind before the
+    # lengthscales; accepting both keeps the script runnable on either side.
+    try:
+        return CorrelationKernel(theta)
+    except TypeError:
+        return CorrelationKernel("squared_exponential", theta)
+
+
+def _instrumental_draws(ls, rv, n_design) -> dict:
+    pts = initial_design(rv, n_design, seed=1)
+    design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
+    model = krig_build(design, "linear", _squared_exponential((2.0,) * rv.dimension))
+    xs, stats = sample_instrumental(model, rv, 50, seed=31, return_stats=True)
+    return {"draws": xs, "stats": stats}
+
+
+def _rare_instrumental() -> dict:
+    corr = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 1.0]])
+    rv = RandomVector(
+        (Marginal.gaussian(0.0, 1.0), Marginal.lognormal(0.0, 0.3), Marginal.gaussian(1.0, 2.0)),
+        corr,
+    )
+    ls = LimitState(3, vector_evaluator=lambda x: 5.3 - (x[:, 0] + 0.5 * x[:, 2]) / 1.2)
+    return {
+        "linear_beta_4p5": _instrumental_draws(
+            benchmark_linear(4.5, dimension=2), standard_normal_vector(2), 12
+        ),
+        "correlated": _instrumental_draws(ls, rv, 20),
+    }
 
 
 def main() -> int:
@@ -158,6 +203,7 @@ def main() -> int:
             "gradient_compare": _gradient_methods(*cli._build_problem(spec["problem"])),
             "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
             "pce_maps": _pce_maps(),
+            "rare_instrumental": _rare_instrumental(),
         }
     json.dump(_hex(doc), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
