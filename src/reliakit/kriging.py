@@ -11,21 +11,20 @@ epistemic deviation drives two enrichment strategies:
 
 * deviation-to-mean ratio ("U"): add the candidate whose sign is most
   uncertain, the classic one-point-per-iteration scheme (AK-MCS);
-* margin sampling: draw points from the density proportional to
-  (probability of lying inside the +-k sigma margin) times the input
-  density, cluster the draws, and add one point per cluster.
+* margin sampling: keep each pool point with its probability of lying
+  inside the +-k sigma margin (exact draws from the margin density on the
+  pool), cluster the kept points, and add one point per cluster.
 
-Both methods run one shared loop that evaluates the initial design, refits
-the surrogate, lets the strategy judge it and pick new points, and stops on
-the strategy's criterion or the call budget, with every true-model call
-counted.
+Both methods run one shared loop that evaluates the initial design, then
+refits the surrogate, predicts one fixed Monte Carlo pool, lets the
+strategy judge the predictions and pick new points, and stops on the
+strategy's criterion or the call budget, with every true-model call counted.
 
-Densities of the form w(x) f_X(x) with 0 <= w <= 1 set by the surrogate
-(the margin density here, the meta-IS instrumental density in
-:mod:`reliakit.metais`) are sampled exactly: batches of input draws are
-predicted at once and each row is kept with probability w.  A target too
-rare for that (more than 3,000 proposals per draw and input dimension,
-where a chain draw becomes cheaper) is finished by slice chains.
+The meta-IS instrumental density w(x) f_X(x), with 0 <= w <= 1 set by the
+surrogate, is sampled exactly: batches of input draws are predicted at once
+and each row is kept with probability w.  A target too rare for that (more
+than 3,000 proposals per draw and input dimension, where a chain draw
+becomes cheaper) is finished by slice chains.
 """
 
 from __future__ import annotations
@@ -436,7 +435,7 @@ def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
 # Past this many proposals per accepted draw and per input dimension, a
 # slice-chain draw (10 sweeps of d component updates) is cheaper than
 # rejection (one row of a batched prediction per proposal).  Timed
-# crossover on four-branch margins and linear surrogates in d = 2 and 6.
+# crossover on linear surrogates in d = 2 and 6 and on thin four-branch targets.
 _PROPOSALS_PER_DRAW_PER_DIM = 3_000
 
 
@@ -529,38 +528,24 @@ def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
     return np.concatenate(kept), {"sampler": "slice", **record, **chains}
 
 
-def enrich_margin(
-    model: KrigingModel,
-    rv: RandomVector,
-    k: float = 1.96,
-    n_chain: int = 250,
-    n_clusters: int = 4,
-    seed=None,
-) -> np.ndarray:
-    """Sample the sign-uncertainty margin and return one point per cluster.
+def enrich_margin(model: KrigingModel, draws, n_clusters: int = 4, seed=None) -> np.ndarray:
+    """Cluster margin draws and return one point per cluster.
 
-    The target density is proportional to (probability of lying in the
-    +-k sigma band) times the input density.  ``n_chain`` (>= 1) margin
-    draws are taken from it by rejection from the input density, i.i.d.
-    unless the margin is so thin that a slice chain supplies the rest (see
-    :func:`_sample_weighted`); k-means splits them into ``n_clusters``
-    groups, and the member closest to each centroid is returned (an actual
-    sampled point, never an artificial centroid).
+    ``draws`` (n, M) come from the margin density, proportional to the
+    +-k sigma band probability times the input density (see
+    :func:`adaptive_margin_design`).  k-means splits them into
+    ``n_clusters`` groups, and the member closest to each centroid is
+    returned (an actual draw, never an artificial centroid).
 
-    Raises :class:`MarginCollapsed` when neither the design nor a probe of
-    the input density carries any margin probability; adaptive drivers
-    treat that as convergence.
+    Raises :class:`MarginCollapsed` when there is no draw, or when no draw
+    is a new point; adaptive drivers treat that as convergence.
     """
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
+    samples = np.asarray(draws, dtype=float)
+    if samples.shape[0] == 0:
+        raise MarginCollapsed("no margin draw to cluster")
     rng = make_rng(seed)
-    try:
-        samples, _ = _sample_weighted(
-            model, rv, lambda mu, sd: margin_probability(mu, sd, k), n_chain, rng
-        )
-    except SamplerError as exc:
-        raise MarginCollapsed(str(exc)) from None
-
     kk = min(n_clusters, samples.shape[0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # kmeans2 warns on empty clusters
@@ -584,7 +569,7 @@ def enrich_margin(
             if _is_new_point(samples[j], model.design.points, chosen):
                 chosen.append(samples[j])
     if not chosen:
-        raise MarginCollapsed("margin sampling produced no usable new point")
+        raise MarginCollapsed("no margin draw is a new point")
     return np.array(chosen)
 
 
@@ -609,13 +594,14 @@ def krig_pf_bounds(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    c_lo = c_mid = c_hi = 0
-    for xs in rv.sample_chunks(n, seed=seed):
-        mu, sd = krig_predict_batch(model, xs)
-        c_lo += int(np.count_nonzero(mu <= -k * sd))
-        c_mid += int(np.count_nonzero(mu <= 0.0))
-        c_hi += int(np.count_nonzero(mu <= k * sd))
-    return c_lo / n, c_mid / n, c_hi / n
+    chunks = rv.sample_chunks(n, seed=seed)
+    counts = sum(_band_counts(*krig_predict_batch(model, xs), k) for xs in chunks)
+    return tuple(int(c) / n for c in counts)
+
+
+def _band_counts(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
+    """Numbers of rows with mu <= -k sigma, mu <= 0 and mu <= +k sigma."""
+    return np.array([np.count_nonzero(mu <= t) for t in (-k * sd, 0.0, k * sd)])
 
 
 def initial_design(rv: RandomVector, n: int, seed=None) -> np.ndarray:
@@ -646,16 +632,16 @@ class AdaptiveResult:
     trace: list[dict] = field(default_factory=list)
 
 
-def _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, step, full_every):
-    """The loop both adaptive methods share: refit, judge, add points.
+def _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, pool, step, full_every):
+    """The loop both adaptive methods share: refit, predict the pool, judge, add points.
 
     The initial design of max(12, 3M) points is evaluated, then each round
     refits the surrogate (5 starts every ``full_every`` fits, else 2 from
-    the last lengthscales) and calls ``step(model)``, which returns its
-    trace entry, a converged stop reason or None, and ``pick(room)``.  The
-    loop stops on that reason, then on the budget, then on a
-    :class:`MarginCollapsed` from ``pick``; otherwise it evaluates the
-    points ``pick`` returns (possibly none) and goes round again.
+    the last lengthscales), predicts ``pool`` and calls ``step(model, mu,
+    sd)``, which returns its trace entry, a converged stop reason or None,
+    and ``pick(room)``.  The loop stops on that reason, then on the budget,
+    then on a :class:`MarginCollapsed` from ``pick``; otherwise it evaluates
+    the points ``pick`` returns (possibly none) and goes round again.
     """
     n0 = max(12, 3 * rv.dimension)
     if budget < n0:
@@ -673,7 +659,7 @@ def _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, step, full_every):
             seed=s_fit.spawn(1)[0],
         )
         theta = model.kernel.theta
-        entry, stop, pick = step(model)
+        entry, stop, pick = step(model, *krig_predict_batch(model, pool))
         trace.append({"n_calls": design.size, **entry})
         if stop is None and design.size >= budget:
             stop = "budget"
@@ -712,8 +698,7 @@ def ak_mcs(
     pool = rv.sample(n_pool, scheme="monte_carlo", seed=s_pool)
     added: set[int] = set()
 
-    def step(model):
-        mu, sd = krig_predict_batch(model, pool)
+    def step(model, mu, sd):
         u = u_function(mu, sd)
         if added:
             u[list(added)] = math.inf
@@ -727,7 +712,7 @@ def ak_mcs(
 
         return entry, "u_threshold" if min_u >= u_stop else None, pick
 
-    return _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, step, full_every=10)
+    return _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, pool, step, full_every=10)
 
 
 def adaptive_margin_design(
@@ -745,30 +730,33 @@ def adaptive_margin_design(
 ) -> AdaptiveResult:
     """Margin-sampling enrichment until the pf band is tight.
 
-    Each iteration refits the surrogate, estimates the failure-probability
-    band from the +-k sigma margin, and if the relative band width exceeds
-    ``tol`` adds ``n_clusters`` clustered margin samples.  A collapsed
-    margin also counts as convergence: the surrogate then classifies the
-    whole input space with certainty at level k.  ``n_chain`` is the number
-    of margin draws clustered per iteration (see :func:`enrich_margin`).
+    One pool of ``n_bounds`` input draws, predicted once per refit, gives the
+    pf band of the +-k sigma margin.  While its relative width exceeds
+    ``tol``, each pool row is kept with its margin probability and the first
+    ``n_chain`` kept rows go to :func:`enrich_margin` for ``n_clusters`` new
+    points.  A pool that keeps no row (a collapsed margin) also converges.
     """
-    rng = make_rng(seed)
-    s_design, s_fit, s_chain, s_bounds = rng.spawn(4)
+    for name, size in (("n_clusters", n_clusters), ("n_bounds", n_bounds), ("n_chain", n_chain)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1")
+    s_design, s_fit, s_chain, s_bounds = make_rng(seed).spawn(4)
+    pool = rv.sample(n_bounds, scheme="monte_carlo", seed=s_bounds)
 
-    def step(model):
-        lo, mid, hi = krig_pf_bounds(model, rv, k=k, n=n_bounds, seed=s_bounds.spawn(1)[0])
+    def step(model, mu, sd):
+        lo, mid, hi = (int(c) / n_bounds for c in _band_counts(mu, sd, k))
         spread = (hi - lo) / mid if mid > 0.0 else math.inf
         entry = {"pf_lower": lo, "pf_central": mid, "pf_upper": hi, "spread": spread}
 
         def pick(room):
+            pick_rng = make_rng(s_chain.spawn(1)[0])
+            kept = pool[pick_rng.random(n_bounds) < margin_probability(mu, sd, k)]
             return enrich_margin(
-                model, rv, k=k, n_chain=n_chain, n_clusters=min(n_clusters, room),
-                seed=s_chain.spawn(1)[0],
+                model, kept[:n_chain], n_clusters=min(n_clusters, room), seed=pick_rng
             )
 
         return entry, "bounds_tight" if spread <= tol else None, pick
 
-    return _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, step, full_every=4)
+    return _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, pool, step, full_every=4)
 
 
 def krig_to_json(model: KrigingModel) -> str:

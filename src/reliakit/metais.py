@@ -204,15 +204,17 @@ def metais_estimate(
     enrichment until its failure-probability band is tighter than ``tol``
     (or the DoE budget runs out).  A supplied ``model`` is used as-is,
     which preserves unbiasedness: the surrogate only shapes the
-    instrumental density, it never replaces the true model.  ``n_chain``
-    is the number of margin draws per enrichment step.  The sampler record
-    of the correction draws (see :func:`sample_instrumental`) is returned
-    under ``extras["sampler_stats"]``.
+    instrumental density, it never replaces the true model.  ``n_bounds``
+    sizes the enrichment's one input pool, ``n_chain`` caps the margin draws
+    clustered per step (see :func:`adaptive_margin_design`).  The sampler
+    record of the correction draws (see :func:`sample_instrumental`) is
+    returned under ``extras["sampler_stats"]``.
 
     The three stages (enrichment, normalization sweep, correction
     sampling) draw from independently spawned random streams, so the two
     estimated factors are independent and their squared coefficients of
-    variation add.
+    variation add.  The sweep does not reuse the enrichment's pool, whose
+    rows chose the design and so are not independent of the surrogate.
     """
     rng = make_rng(seed)
     s_doe, s_eps, s_chain = rng.spawn(3)

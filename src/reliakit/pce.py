@@ -269,28 +269,30 @@ def basis_for(rv: RandomVector, degree: int) -> PceBasis:
 
 
 def physical_to_basis(rv: RandomVector, x) -> np.ndarray:
-    """Map physical input point(s) to the basis-variable coordinates."""
+    """Map physical rows x (n, M) to the basis-variable coordinates."""
     x = np.asarray(x, dtype=float)
+    rv._check_dim(x)
     if not rv.is_independent:
         return rv.to_standard(x)
     out = np.empty_like(x)
     for i, marg in enumerate(rv.marginals):
         _, log, loc, scale, shift = _basis_map(marg)
-        col = np.log(x[..., i]) if log else x[..., i]
-        out[..., i] = (col - loc) / scale - shift
+        col = np.log(x[:, i]) if log else x[:, i]
+        out[:, i] = (col - loc) / scale - shift
     return out
 
 
 def basis_to_physical(rv: RandomVector, xi) -> np.ndarray:
-    """Inverse of :func:`physical_to_basis`."""
+    """Inverse of :func:`physical_to_basis`, on rows xi (n, M)."""
     xi = np.asarray(xi, dtype=float)
+    rv._check_dim(xi)
     if not rv.is_independent:
         return rv.from_standard(xi)
     out = np.empty_like(xi)
     for i, marg in enumerate(rv.marginals):
         _, log, loc, scale, shift = _basis_map(marg)
-        t = loc + scale * (xi[..., i] + shift)
-        out[..., i] = np.exp(t) if log else t
+        t = loc + scale * (xi[:, i] + shift)
+        out[:, i] = np.exp(t) if log else t
     return out
 
 

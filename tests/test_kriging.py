@@ -317,6 +317,14 @@ class TestUncertaintyMeasures:
             margin_probability(*arrays([0.0], [1.0]), 0.0)
 
 
+def margin_draws(model, rv, n, seed, k=1.96):
+    """Exact margin-density draws: pool rows kept with their margin probability."""
+    pool = rv.sample(20_000, seed=seed)
+    mu, sd = krig_predict_batch(model, pool)
+    keep = np.random.default_rng(seed).random(pool.shape[0]) < margin_probability(mu, sd, k)
+    return pool[keep][:n]
+
+
 class TestEnrichment:
     def waarts_model(self, n=20, seed=4):
         ls = benchmark_waarts()
@@ -356,9 +364,13 @@ class TestEnrichment:
 
     def test_margin_enrichment_returns_informative_points(self):
         model, rv = self.waarts_model()
-        pts = enrich_margin(model, rv, k=1.96, n_chain=200, n_clusters=4, seed=8)
+        draws = margin_draws(model, rv, 200, seed=8)
+        assert draws.shape[0] == 200
+        pts = enrich_margin(model, draws, n_clusters=4, seed=8)
         assert pts.shape[1] == 2
         assert 1 <= pts.shape[0] <= 4
+        # every pick is one of the draws, never an artificial centroid
+        assert all(np.any(np.all(draws == p, axis=1)) for p in pts)
         mu, sd = krig_predict_batch(model, pts)
         assert np.all(margin_probability(mu, sd, 1.96) > 1e-6)
         # never duplicates an existing design point
@@ -368,25 +380,25 @@ class TestEnrichment:
 
     def test_margin_enrichment_deterministic(self):
         model, rv = self.waarts_model()
-        a = enrich_margin(model, rv, seed=9)
-        b = enrich_margin(model, rv, seed=9)
+        draws = margin_draws(model, rv, 250, seed=9)
+        a = enrich_margin(model, draws, seed=9)
+        b = enrich_margin(model, draws, seed=9)
         np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("n_chain", [0, -3])
-    def test_margin_enrichment_needs_a_draw(self, n_chain):
-        model, rv = self.waarts_model()
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            enrich_margin(model, rv, n_chain=n_chain, seed=9)
 
     def test_margin_collapse_on_certain_surrogate(self):
         # responses exactly in the trend span make sigma2 = 0, so no point
-        # carries any margin probability
+        # carries any margin probability and the pool keeps no draw
         rv = standard_normal_vector(1)
         x = np.linspace(-2, 2, 6)[:, None]
         design = ExperimentalDesign(x, np.full(6, 3.0))
         model = krig_build(design, "constant", CorrelationKernel((1.0,)))
-        with pytest.raises(MarginCollapsed):
-            enrich_margin(model, rv, seed=10)
+        draws = margin_draws(model, rv, 250, seed=10)
+        assert draws.shape == (0, 1)
+        with pytest.raises(MarginCollapsed, match="no margin draw"):
+            enrich_margin(model, draws, seed=10)
+        # draws that are all design points leave nothing new either
+        with pytest.raises(MarginCollapsed, match="no margin draw is a new point"):
+            enrich_margin(model, x, seed=10)
 
 
 class TestBounds:
@@ -520,6 +532,47 @@ class TestAdaptiveDrivers:
         assert out.n_calls == ledger.count == 30
         assert [t["n_calls"] for t in out.trace] == [12, 16, 20, 24, 28, 30]
 
+    def test_margin_design_predicts_only_its_pool(self, monkeypatch):
+        # one prediction of the pool per refit: no sampler, no band sweep
+        from reliakit import kriging
+
+        rows = []
+        predict = kriging._predict_arrays
+
+        def counted(model, xs):
+            rows.append(xs.shape[0])
+            return predict(model, xs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the margin design sampled or swept outside its pool")
+
+        monkeypatch.setattr(kriging, "_predict_arrays", counted)
+        monkeypatch.setattr(kriging, "_sample_weighted", forbidden)
+        monkeypatch.setattr(kriging, "krig_pf_bounds", forbidden)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = adaptive_margin_design(
+                benchmark_waarts(), standard_normal_vector(2), tol=0.0, budget=30,
+                n_bounds=10_000, seed=5,
+            )
+        assert out.stop_reason == "budget"
+        assert sum(rows) == len(out.trace) * 10_000
+
+    @pytest.mark.parametrize(
+        "size",
+        [{"n_chain": 0}, {"n_chain": -3}, {"n_bounds": 0}, {"n_clusters": 0}],
+        ids=["n_chain=0", "n_chain=-3", "n_bounds=0", "n_clusters=0"],
+    )
+    def test_bad_doe_sizes_rejected_before_any_call(self, size):
+        ledger = EvalLedger()
+        (name,) = size
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            adaptive_margin_design(
+                benchmark_waarts(), standard_normal_vector(2), budget=30, seed=5, ledger=ledger,
+                **{"n_bounds": 10_000, **size},
+            )
+        assert ledger.count == 0
+
     def test_margin_mass_trends_down(self):
         # average margin probability is allowed one up-tick over five rounds
         ls = benchmark_waarts()
@@ -534,7 +587,8 @@ class TestAdaptiveDrivers:
             for it in range(5):
                 mu, sd = krig_predict_batch(model, probe)
                 masses.append(float(np.mean(margin_probability(mu, sd, 1.96))))
-                new_pts = enrich_margin(model, rv, seed=26 + it)
+                draws = margin_draws(model, rv, 250, seed=26 + it)
+                new_pts = enrich_margin(model, draws, seed=26 + it)
                 design = design.extended(new_pts, evaluate_batch(ls, new_pts))
                 model = krig_fit(design, seed=24)
         ups = sum(1 for a, b in zip(masses, masses[1:]) if b > a)

@@ -248,6 +248,20 @@ class TestBasisMaps:
         assert one.shape == (1, 5)
         np.testing.assert_allclose(one, x[:1], rtol=1e-10)
 
+    @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "correlated"])
+    def test_maps_take_rows_only(self, correlated):
+        # one 1-D point is refused the same way whatever the input model
+        corr = None
+        if correlated:
+            corr = np.eye(5)
+            corr[0, 3] = corr[3, 0] = 0.4
+        rv = RandomVector(self.MARGINALS, corr)
+        assert rv.is_independent is not correlated
+        point = rv.sample(1, seed=7)[0]
+        for fn in (physical_to_basis, basis_to_physical):
+            with pytest.raises(ValueError, match=r"expected points with 5 columns, got shape \(5,\)"):
+                fn(rv, point)
+
     def test_basis_variables_lie_on_each_family_support(self):
         rv = RandomVector(self.MARGINALS)
         x = rv.sample(500, seed=6)
