@@ -57,7 +57,7 @@ from .limitstate import (
     evaluate_batch,
     limit_state_from_expression,
 )
-from .mcmc import slice_sample
+from .mcmc import pcn_sample
 from .metais import (
     MetaIsResult,
     estimate_alpha_corr,

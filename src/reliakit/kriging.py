@@ -23,8 +23,8 @@ strategy's criterion or the call budget, with every true-model call counted.
 The meta-IS instrumental density w(x) f_X(x), with 0 <= w <= 1 set by the
 surrogate, is sampled exactly: batches of input draws are predicted at once
 and each row is kept with probability w.  A target too rare for that (more
-than 3,000 proposals per draw and input dimension, where a chain draw
-becomes cheaper) is finished by slice chains.
+than 3,000 proposals per draw and input dimension) is finished by a
+population of lock-step chains, predicted in one batch per step.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from scipy.special import ndtr
 
 from .errors import ConditioningError, FitError, MarginCollapsed, SamplerError
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
-from .mcmc import slice_sample
+from .mcmc import pcn_sample
 from .probmodel import RandomVector, make_rng
 
 __all__ = [
@@ -432,10 +432,11 @@ def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
     return pool[_most_uncertain(u_function(mu, sd), sd)].copy()
 
 
-# Past this many proposals per accepted draw and per input dimension, a
-# slice-chain draw (10 sweeps of d component updates) is cheaper than
-# rejection (one row of a batched prediction per proposal).  Timed
-# crossover on linear surrogates in d = 2 and 6 and on thin four-branch targets.
+# Past this many proposals per accepted draw and per input dimension,
+# rejection gives way to chains.  A chain draw (40 lock-step steps) costs
+# about 1,000 proposals per dimension for one chain in 2-D, 140 in 6-D and
+# under 100 from ten chains up (timed on linear surrogates); rejection keeps
+# the draws i.i.d., so their CoV is honest, and is kept longer.
 _PROPOSALS_PER_DRAW_PER_DIM = 3_000
 
 
@@ -452,17 +453,16 @@ def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
     Once more than 3,000 · d proposals per accepted row have been spent
     (d the input dimension; a target mass below about 1.7e-4 in 2-D),
     the rows accepted so far are kept and the missing ones come from
-    componentwise slice chains in standard normal coordinates, one started
-    at each accepted row.  Those draws are exact in distribution but
-    correlated.  When no row was accepted, a single chain with burn-in
-    starts at the design or probe point with the largest w (the design
-    winning ties); it may stay in one mode of a multimodal target.
+    lock-step chains in standard normal coordinates, one started at each
+    accepted row (``mcmc.pcn_sample``).  Those draws are exact in
+    distribution but correlated.  When no row was accepted, a single chain
+    with burn-in starts at the design or probe point with the largest w
+    (the design winning ties); it may stay in one mode of a multimodal target.
 
     Everything draws from ``rng``.  Returns the draws in physical
     coordinates and a record: the ``sampler`` used ("rejection" or
-    "slice"), ``n_proposals`` and ``acceptance`` of the rejection stage,
-    and for "slice" ``n_chains`` and the summed ``n_sweeps`` and
-    ``target_evals``.
+    "chain"), ``n_proposals`` and ``acceptance`` of the rejection stage,
+    and for "chain" ``n_chains``, ``n_steps`` and ``move_rate``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -500,32 +500,12 @@ def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
         best = pts[int(np.argmax(w_d))] if best_d >= best_p else probe[int(np.argmax(w_p))]
         starts, burn = best[None, :], 0.2
 
-    def log_target(u):
-        mu, var = _predict_arrays(model, rv.from_standard(u[None, :]))
-        w = float(weight(mu, np.sqrt(var))[0])
-        if w <= 0.0:
-            return -math.inf
-        return math.log(w) - 0.5 * float(u @ u)
+    def w_standard(u):
+        return weight(*krig_predict_batch(model, rv.from_standard(u)))
 
-    chains = {"n_chains": starts.shape[0], "n_sweeps": 0, "target_evals": 0}
-    # One transform per start: a batched triangular solve under correlation
-    # can differ from the one-row solve in the last bit, which moves the chains.
-    for j, x0 in enumerate(starts):
-        m = missing // starts.shape[0] + (j < missing % starts.shape[0])
-        chain, stats = slice_sample(
-            log_target,
-            rv.to_standard(x0[None, :]),
-            m,
-            rng,
-            widths=1.0,
-            thin=10,
-            burn_frac=burn,
-            return_stats=True,
-        )
-        kept.append(rv.from_standard(chain))
-        chains["n_sweeps"] += stats["n_sweeps"]
-        chains["target_evals"] += stats["target_evals"]
-    return np.concatenate(kept), {"sampler": "slice", **record, **chains}
+    us, chains = pcn_sample(w_standard, rv.to_standard(starts), missing, rng, burn)
+    kept.append(rv.from_standard(us))
+    return np.concatenate(kept), {"sampler": "chain", **record, **chains}
 
 
 def enrich_margin(model: KrigingModel, draws, n_clusters: int = 4, seed=None) -> np.ndarray:

@@ -85,17 +85,23 @@ def evaluate_batch(
     """Evaluate g at each row of xs, count the calls, and check finiteness.
 
     The ledger counts every row the model saw, also when the batch fails:
-    all rows of a batch with a non-finite output, and the rows up to and
-    including the one where the scalar evaluator raised.  That evaluator's
-    ``ArithmeticError`` or ``ValueError`` is re-raised as :class:`ModelError`
-    naming the row and the point.
+    all rows of a batch with a non-finite output or whose vector evaluator
+    raised, and the rows up to and including the one where the scalar
+    evaluator raised.  An evaluator's ``ArithmeticError`` or ``ValueError``
+    is re-raised as :class:`ModelError` naming the batch, or for the scalar
+    evaluator the row and the point.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != ls.dimension:
         raise ValueError(f"expected {ls.dimension} columns, got shape {xs.shape}")
     n = xs.shape[0]
     if ls.vector_evaluator is not None:
-        out = np.asarray(ls.vector_evaluator(xs), dtype=float).reshape(n)
+        try:
+            out = np.asarray(ls.vector_evaluator(xs), dtype=float).reshape(n)
+        except (ArithmeticError, ValueError) as exc:
+            if ledger is not None:
+                ledger.record(n)
+            raise ModelError(f"{ls.name} failed on a batch of {n} rows: {exc}") from exc
     else:
         vals: list[float] = []
         try:

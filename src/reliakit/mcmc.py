@@ -1,10 +1,11 @@
-"""Markov chain sampling from unnormalized densities.
+"""Lock-step Markov chains for weighted standard normal targets.
 
-A componentwise slice sampler with stepping-out and shrinkage.  It needs
-only pointwise values of an unnormalized log density.  In the package it
-is the rare-event fallback for the surrogate-weighted targets (margin
-density, instrumental density), which are otherwise sampled exactly by
-rejection.
+The target is proportional to w(u) phi(u) in standard normal space, with
+0 <= w <= 1.  A population of chains moves in lock step by preconditioned
+Crank-Nicolson steps (Papaioannou, Betz, Zwirglmaier & Straub 2015): each
+step costs one batched weight call for all chains.  In the package it is
+the rare-event fallback for the meta-IS instrumental density, which is
+otherwise sampled exactly by rejection.
 """
 
 from __future__ import annotations
@@ -15,107 +16,53 @@ import numpy as np
 
 from .errors import SamplerError
 
-__all__ = ["slice_sample"]
+__all__ = ["pcn_sample"]
+
+# Proposal correlation and steps per kept state.  At rho 0.9 and 40 steps
+# the draws of an exact linear surrogate at beta = 4.5 spread like i.i.d.
+# draws (tools/coverage.py --case sampler).
+_RHO = 0.9
+_THIN = 40
 
 
-def slice_sample(
-    log_target,
-    x0,
-    n_samples: int,
-    rng: np.random.Generator,
-    widths,
-    thin: int = 10,
-    burn_frac: float = 0.2,
-    return_stats: bool = False,
-):
-    """Draw from an unnormalized density via componentwise slice sampling.
+def pcn_sample(weight, u0, n: int, rng: np.random.Generator, burn_frac: float = 0.0):
+    """Draw n points from the density proportional to w(u) phi(u).
 
-    Each sweep updates every coordinate in turn: draw a level under the
-    current density value, step the bracket out (at most 50 widths each
-    way) until it covers the slice, then shrink it around rejected proposals
-    until a point on the slice is hit.  The kept chain applies ``thin``
-    sweeps between samples after discarding a ``burn_frac`` fraction of the
-    total run.
+    ``weight`` maps (C, M) rows to w in [0, 1]; ``u0`` holds one start per
+    chain.  Each step proposes u' = rho u + sqrt(1 - rho^2) xi for every
+    chain at once.  The proposal leaves phi invariant, so a chain moves when
+    ``rng.random(C) * w(u) < w(u')``.  Each chain keeps every 40th state
+    after discarding a ``burn_frac`` fraction of the run.  The draws come
+    back chain by chain, the last chain cut short when C does not divide n.
 
-    ``log_target`` maps a point to a log density (-inf outside the
-    support).  ``widths`` sets the initial bracket size per coordinate,
-    typically the scale over which the target varies.  Deterministic for a
-    given generator state.
+    Raises :class:`SamplerError` when a start has w = 0.  Returns the draws
+    and a record of ``n_chains``, ``n_steps`` and ``move_rate``.
+    Deterministic for a given generator state.
     """
-    x = np.array(x0, dtype=float).ravel()
-    m = x.size
-    w = np.broadcast_to(np.asarray(widths, dtype=float), (m,)).copy()
-    if np.any(w <= 0.0):
-        raise ValueError("slice widths must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    u = np.array(u0, dtype=float, ndmin=2)
+    c, m = u.shape
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 0.0 <= burn_frac < 1.0:
         raise ValueError("burn_frac must lie in [0, 1)")
+    w = np.asarray(weight(u), dtype=float)
+    if not np.all(w > 0.0):
+        raise SamplerError("a chain starts where the target weight is 0")
 
-    evals = 0
-
-    def logf(pt: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return float(log_target(pt))
-
-    fx = logf(x)
-    if not math.isfinite(fx):
-        raise SamplerError("slice sampler started outside the target support")
-
-    kept_sweeps = n_samples * thin
-    total = math.ceil(kept_sweeps / (1.0 - burn_frac))
-    burn = total - kept_sweeps
-
-    out = np.empty((n_samples, m))
-    n_out = 0
-    for sweep in range(total):
-        for i in range(m):
-            level = fx + math.log(rng.random())
-            lo = x[i] - w[i] * rng.random()
-            hi = lo + w[i]
-            xi0 = x[i]
-
-            steps = 50
-            x[i] = lo
-            while steps > 0 and logf(x) > level:
-                lo -= w[i]
-                x[i] = lo
-                steps -= 1
-            steps = 50
-            x[i] = hi
-            while steps > 0 and logf(x) > level:
-                hi += w[i]
-                x[i] = hi
-                steps -= 1
-
-            for _ in range(1000):
-                x[i] = lo + (hi - lo) * rng.random()
-                fx_new = logf(x)
-                if fx_new > level:
-                    fx = fx_new
-                    break
-                if x[i] < xi0:
-                    lo = x[i]
-                else:
-                    hi = x[i]
-            else:
-                # Shrinkage collapsed onto the start without finding the
-                # slice; keep the current state and carry on.
-                x[i] = xi0
-                fx = logf(x)
-        if sweep >= burn and (sweep - burn + 1) % thin == 0:
-            out[n_out] = x
-            n_out += 1
-    if n_out != n_samples:  # pragma: no cover - arithmetic guard
-        raise SamplerError("slice sampler produced an incomplete chain")
-    if return_stats:
-        stats = {
-            "n_sweeps": total,
-            "n_burn": burn,
-            "thin": thin,
-            "target_evals": evals,
-            "evals_per_sweep": evals / total,
-        }
-        return out, stats
-    return out
+    per_chain = -(-n // c)
+    total = math.ceil(per_chain * _THIN / (1.0 - burn_frac))
+    burn = total - per_chain * _THIN
+    scale = math.sqrt(1.0 - _RHO * _RHO)
+    out = np.empty((c, per_chain, m))
+    moves = 0
+    for step in range(1, total + 1):
+        prop = _RHO * u + scale * rng.standard_normal((c, m))
+        w_prop = np.asarray(weight(prop), dtype=float)
+        move = rng.random(c) * w < w_prop
+        u[move] = prop[move]
+        w[move] = w_prop[move]
+        moves += int(np.count_nonzero(move))
+        if step > burn and (step - burn) % _THIN == 0:
+            out[:, (step - burn) // _THIN - 1] = u
+    record = {"n_chains": c, "n_steps": total, "move_rate": moves / (total * c)}
+    return out.reshape(c * per_chain, m)[:n], record

@@ -16,10 +16,11 @@ controls the variance.
 Since 0 <= pi <= 1, the instrumental density is sampled exactly by
 rejection: inputs drawn from f_X are kept with probability pi, so the
 correction draws are i.i.d. and the coefficient of variation of
-alpha_corr is exact.  Once rejection costs more than a chain draw (in 2-D,
-below a pf_epsilon of about 1.7e-4), slice chains supply the rest.  Chains
-started at draws already accepted stay unbiased, but their draws are
-correlated, so the reported coefficient of variation is then optimistic.
+alpha_corr is exact.  Past 3,000 proposals per draw and input dimension
+(in 2-D, below a pf_epsilon of about 1.7e-4), lock-step chains supply the
+rest.  Chains started at draws already accepted stay unbiased, but their
+draws are correlated, so the reported coefficient of variation is then
+optimistic.
 """
 
 from __future__ import annotations
@@ -141,14 +142,14 @@ def sample_instrumental(
     Inputs are drawn from f_X in batches and kept with probability pi, so
     the draws are i.i.d.; the expected number of proposals is
     n / pf_epsilon.  Once more than 3,000 proposals per accepted draw and
-    input dimension have been spent, slice chains in standard normal
+    input dimension have been spent, lock-step chains in standard normal
     coordinates, started at the accepted draws (at the design or probe
     point with the largest pi when there is none), supply the draws still
     missing.  :class:`SamplerError` is raised when no design or probe point
     has pi >= 1e-12, ``ValueError`` when n < 1.  Draws are deterministic
-    per seed.  The stats name the ``sampler`` used ("rejection" or "slice")
+    per seed.  The stats name the ``sampler`` used ("rejection" or "chain")
     with its ``n_proposals`` and ``acceptance``, plus ``n_chains``,
-    ``n_sweeps`` and ``target_evals`` for "slice".
+    ``n_steps`` and ``move_rate`` for "chain".
     """
     xs, stats = _sample_weighted(model, rv, classification_probability, n, make_rng(seed))
     return (xs, stats) if return_stats else xs

@@ -116,6 +116,16 @@ class TestEvaluateBatch:
             evaluate_batch(LimitState(1, g, vector_evaluator=vec), np.arange(5.0)[:, None], ledger=ledger)
         assert ledger.count == 5
 
+    def test_raising_vector_evaluator_counts_the_whole_batch(self):
+        def g(xs):
+            raise ZeroDivisionError("division by zero")
+
+        ledger = EvalLedger()
+        with pytest.raises(ModelError, match="batch of 5 rows") as info:
+            evaluate_batch(LimitState(2, vector_evaluator=g), np.ones((5, 2)), ledger=ledger)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert ledger.count == 5
+
     def test_raising_evaluator_counts_rows_up_to_the_failure(self):
         seen = []
 

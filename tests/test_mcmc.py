@@ -1,87 +1,72 @@
-"""Slice sampler checks against known target laws."""
+"""Lock-step chain checks against known target laws."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from reliakit import SamplerError, slice_sample
+from reliakit import SamplerError, pcn_sample
+from reliakit.mcmc import _THIN
+
+
+def ones(u):
+    return np.ones(u.shape[0])
 
 
 def test_standard_normal_target():
-    log_t = lambda x: -0.5 * float(x @ x)
-    out = slice_sample(log_t, np.zeros(1), 4000, rng=np.random.default_rng(0), widths=np.ones(1))
-    assert out.shape == (4000, 1)
-    res = stats.kstest(out[:, 0], stats.norm.cdf)
-    assert res.pvalue > 0.01
-    assert np.mean(out) == pytest.approx(0.0, abs=0.06)
-    assert np.std(out) == pytest.approx(1.0, abs=0.06)
-
-
-def test_correlated_gaussian_covariance():
-    cov = np.array([[1.0, 0.8], [0.8, 2.0]])
-    prec = np.linalg.inv(cov)
-    log_t = lambda x: -0.5 * float(x @ prec @ x)
-    out = slice_sample(log_t, np.zeros(2), 5000, rng=np.random.default_rng(1), widths=np.ones(2))
-    np.testing.assert_allclose(np.cov(out.T), cov, atol=0.2)
+    # w = 1 leaves phi itself: chains started at exact N(0, I) draws stay exact
+    rng = np.random.default_rng(0)
+    out, info = pcn_sample(ones, rng.standard_normal((200, 2)), 4000, rng)
+    assert out.shape == (4000, 2)
+    assert info["move_rate"] == 1.0
+    for j in range(2):
+        assert stats.kstest(out[:, j], stats.norm.cdf).pvalue > 0.01
 
 
 def test_bounded_support_stays_inside():
-    def log_t(x):
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            return -np.inf
-        return 0.0
-
-    out = slice_sample(log_t, np.array([0.5]), 3000, rng=np.random.default_rng(2), widths=np.array([0.5]))
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    res = stats.kstest(out[:, 0], stats.uniform.cdf)
-    assert res.pvalue > 0.01
-
-
-def test_bimodal_target_visits_both_modes():
-    # mixture of normals at -4 and +4; step-out must bridge the gap
-    def log_t(x):
-        a = -0.5 * (x[0] - 4.0) ** 2
-        b = -0.5 * (x[0] + 4.0) ** 2
-        m = max(a, b)
-        return m + np.log(np.exp(a - m) + np.exp(b - m))
-
-    out = slice_sample(log_t, np.array([0.0]), 3000, rng=np.random.default_rng(3), widths=np.ones(1))
-    assert (out[:, 0] > 2.0).mean() > 0.2
-    assert (out[:, 0] < -2.0).mean() > 0.2
+    # w = 1{u1 > 2}: N(0, 1) truncated to u1 > 2 in u1, N(0, 1) in u2
+    rng = np.random.default_rng(2)
+    starts = np.column_stack(
+        [stats.truncnorm(2.0, np.inf).rvs(100, random_state=rng), rng.standard_normal(100)]
+    )
+    out, info = pcn_sample(lambda u: (u[:, 0] > 2.0).astype(float), starts, 3000, rng)
+    assert out[:, 0].min() > 2.0
+    assert 0.0 < info["move_rate"] < 1.0
+    assert stats.kstest(out[:, 0], stats.truncnorm(2.0, np.inf).cdf).pvalue > 0.01
+    assert stats.kstest(out[:, 1], stats.norm.cdf).pvalue > 0.01
 
 
 def test_start_outside_support_rejected():
-    def log_t(x):
-        return 0.0 if abs(x[0]) < 1.0 else -np.inf
-
+    starts = np.array([[3.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SamplerError):
-        slice_sample(log_t, np.array([5.0]), 10, rng=np.random.default_rng(4), widths=np.ones(1))
+        pcn_sample(lambda u: (u[:, 0] > 2.0).astype(float), starts, 10, np.random.default_rng(4))
 
 
 def test_deterministic_per_seed():
-    log_t = lambda x: -0.5 * float(x @ x)
-    a = slice_sample(log_t, np.zeros(2), 200, rng=np.random.default_rng(7), widths=np.ones(2))
-    b = slice_sample(log_t, np.zeros(2), 200, rng=np.random.default_rng(7), widths=np.ones(2))
+    a, _ = pcn_sample(ones, np.zeros((3, 2)), 200, np.random.default_rng(7))
+    b, _ = pcn_sample(ones, np.zeros((3, 2)), 200, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
 
 
 def test_stats_accounting():
-    log_t = lambda x: -0.5 * float(x @ x)
-    out, info = slice_sample(
-        log_t, np.zeros(1), 100, rng=np.random.default_rng(5), widths=np.ones(1), return_stats=True
-    )
-    assert out.shape == (100, 1)
-    assert info["n_burn"] > 0
-    assert info["thin"] == 10
-    assert info["target_evals"] > 0
-    assert info["evals_per_sweep"] == pytest.approx(
-        info["target_evals"] / info["n_sweeps"]
-    )
+    # 3 chains for 10 draws: 4 states per chain, the last chain cut to 2,
+    # every state kept after _THIN steps and no burn-in
+    calls = []
+
+    def counted(u):
+        calls.append(u.shape[0])
+        return np.ones(u.shape[0])
+
+    out, info = pcn_sample(counted, np.zeros((3, 1)), 10, np.random.default_rng(5))
+    assert out.shape == (10, 1)
+    assert info["n_chains"] == 3
+    assert info["n_steps"] == _THIN * math.ceil(10 / 3)
+    assert calls == [3] * (1 + info["n_steps"])
 
 
-def test_thin_one_no_burn():
-    log_t = lambda x: -0.5 * float(x @ x)
-    out = slice_sample(
-        log_t, np.zeros(1), 50, rng=np.random.default_rng(6), widths=np.ones(1), thin=1, burn_frac=0.0
-    )
-    assert out.shape == (50, 1)
+def test_burn_in_lengthens_the_run():
+    _, plain = pcn_sample(ones, np.zeros((1, 1)), 50, np.random.default_rng(6))
+    _, burnt = pcn_sample(ones, np.zeros((1, 1)), 50, np.random.default_rng(6), burn_frac=0.2)
+    assert plain["n_steps"] == 50 * _THIN
+    assert burnt["n_steps"] == math.ceil(50 * _THIN / 0.8)

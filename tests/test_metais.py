@@ -189,9 +189,9 @@ class TestSampler:
         rv = standard_normal_vector(2)
         model = exact_linear_model(rv, beta0=4.5)
         xs, info = sample_instrumental(model, rv, 50, seed=31, return_stats=True)
-        assert info["sampler"] == "slice"
+        assert info["sampler"] == "chain"
         assert 0 < info["n_proposals"] < 100_000
-        assert info["n_sweeps"] > 50
+        assert info["n_steps"] > 50
         assert xs.shape == (50, 2)
         assert np.all(xs[:, 0] > 4.4)
 
@@ -207,7 +207,7 @@ class TestSampler:
         monkeypatch.setattr(kriging, "_PROPOSALS_PER_DRAW_PER_DIM", 1)
         xs, info = sample_instrumental(model, rv, 1000, seed=32, return_stats=True)
         kept = round(info["acceptance"] * info["n_proposals"])
-        assert info["sampler"] == "slice"
+        assert info["sampler"] == "chain"
         assert 0 < kept < 1000
         assert info["n_chains"] == kept
         assert xs.shape == (1000, 2)
@@ -215,7 +215,7 @@ class TestSampler:
         assert np.all(xs[:, 0] > 2.0)
 
     def test_fallback_chains_keep_the_mode_weights(self, monkeypatch):
-        # w = 1{|x1| > 2.5} has two equal modes that no slice chain crosses;
+        # w = 1{|x1| > 2.5} has two equal modes that no chain crosses;
         # chains started at the accepted rows still split their draws evenly
         from reliakit import kriging
 
@@ -229,7 +229,7 @@ class TestSampler:
             2000,
             np.random.default_rng(34),
         )
-        assert info["sampler"] == "slice"
+        assert info["sampler"] == "chain"
         assert info["acceptance"] * info["n_proposals"] < 500
         assert np.all(np.abs(xs[:, 0]) > 2.5)
         assert 0.4 < float(np.mean(xs[:, 0] > 0.0)) < 0.6

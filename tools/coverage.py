@@ -1,15 +1,18 @@
-"""Print, as JSON, how well seeded meta-IS estimates cover the four-branch answer.
+"""Print, as JSON, how seeded meta-IS estimates and rare-event draws match their exact laws.
 
 Usage, from the root of a checkout::
 
     python3 tools/coverage.py --settings paper --seeds 0-29 > coverage.json
     python3 tools/coverage.py --settings bench --seeds 0-39
     python3 tools/coverage.py --seeds 0,1,5,7
+    python3 tools/coverage.py --case sampler --seeds 0-99
 
 The package is imported from the checkout's own ``src/``, so running the
-script in two trees compares them on the same seeds.  Each seed runs
-``metais_estimate`` on four-branch (``benchmark_waarts``, standard normal
-inputs in 2-D) at one of two settings:
+script in two trees compares them on the same seeds.
+
+The default case, ``metais``, runs ``metais_estimate`` per seed on
+four-branch (``benchmark_waarts``, standard normal inputs in 2-D) at one
+of two settings:
 
 * ``paper``: n_corr 200 and a DoE budget of 100, every other option at its
   default;
@@ -28,6 +31,18 @@ min, max) and the stop reasons, over the seeds that did not raise.
 
 At the paper settings one estimate takes a few seconds on a two-core
 machine.
+
+The ``sampler`` case checks the rare-event instrumental sampler.  Per seed
+it draws 200 points with ``sample_instrumental`` from an exact linear
+surrogate at beta = 4.5 (``benchmark_linear`` fit by a linear-trend
+kriging model on 12 points, so pi is the indicator of x1 > 4.5 and
+rejection gives way to chains), and records the CPU time of the call and
+the means of x1 and x2^2.  Their laws are N(0, 1) truncated to x1 > 4.5
+and chi-square with one degree of freedom.  The summary holds the mean CPU
+per call; per statistic the spread, the sd of the per-seed means over the
+sd of a mean of 200 i.i.d. draws (1 for i.i.d. draws, larger for
+correlated ones); and the bias, the mean over seeds minus the exact value
+in standard errors of that mean.  One call takes about a second.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ import argparse
 import json
 import math
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -47,7 +63,19 @@ from scipy.stats import norm
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from reliakit import benchmark_waarts, kriging, metais_estimate, standard_normal_vector  # noqa: E402
+from reliakit import (  # noqa: E402
+    CorrelationKernel,
+    ExperimentalDesign,
+    benchmark_linear,
+    benchmark_waarts,
+    evaluate_batch,
+    initial_design,
+    krig_build,
+    kriging,
+    metais_estimate,
+    sample_instrumental,
+    standard_normal_vector,
+)
 
 SETTINGS = {
     "paper": dict(n_corr=200, budget=100),
@@ -125,18 +153,61 @@ def _summary(runs: list[dict]) -> dict:
     }
 
 
+SAMPLER_BETA = 4.5
+SAMPLER_DRAWS = 200
+
+
+def _sampler_runs(seeds: list[int]) -> list[dict]:
+    rv = standard_normal_vector(2)
+    pts = initial_design(rv, 12, seed=1)
+    design = ExperimentalDesign(pts, evaluate_batch(benchmark_linear(SAMPLER_BETA, dimension=2), pts))
+    model = krig_build(design, "linear", CorrelationKernel((2.0, 2.0)))
+    runs = []
+    for seed in seeds:
+        t0 = time.process_time()
+        xs, stats = sample_instrumental(model, rv, SAMPLER_DRAWS, seed=seed, return_stats=True)
+        runs.append({
+            "seed": seed,
+            "sampler": stats["sampler"],
+            "cpu_s": time.process_time() - t0,
+            "mean_x1": float(xs[:, 0].mean()),
+            "mean_x2sq": float((xs[:, 1] ** 2).mean()),
+        })
+    return runs
+
+
+def _sampler_summary(runs: list[dict]) -> dict:
+    lam = float(norm.pdf(SAMPLER_BETA) / ndtr(-SAMPLER_BETA))
+    laws = {"x1": (lam, 1.0 + SAMPLER_BETA * lam - lam * lam), "x2sq": (1.0, 2.0)}
+    out = {"n_seeds": len(runs), "cpu_per_call_s": float(np.mean([r["cpu_s"] for r in runs])),
+           "samplers": sorted({r["sampler"] for r in runs})}
+    for key, (mean, var) in laws.items():
+        means = np.array([r["mean_" + key] for r in runs])
+        sd = float(means.std(ddof=1))
+        out["spread_" + key] = sd / math.sqrt(var / SAMPLER_DRAWS)
+        out["bias_" + key] = float(means.mean() - mean) / (sd / math.sqrt(means.size))
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--settings", choices=sorted(SETTINGS), default="paper")
+    ap.add_argument("--case", choices=("metais", "sampler"), default="metais")
+    ap.add_argument("--settings", choices=sorted(SETTINGS), default="paper",
+                    help="meta-IS settings (metais case only)")
     ap.add_argument("--seeds", default="0-29", help="e.g. 0-29 or 0,1,5,7 (ranges inclusive)")
     args = ap.parse_args(argv)
-    ref = four_branch_pf()
-    opts = SETTINGS[args.settings]
+    seeds = _seeds(args.seeds)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        runs = [_run(s, opts, ref) for s in _seeds(args.seeds)]
-    doc = {"settings": args.settings, "options": opts, "reference": ref,
-           "summary": _summary(runs), "runs": runs}
+        if args.case == "sampler":
+            runs = _sampler_runs(seeds)
+            doc = {"case": "sampler", "summary": _sampler_summary(runs), "runs": runs}
+        else:
+            ref = four_branch_pf()
+            opts = SETTINGS[args.settings]
+            runs = [_run(s, opts, ref) for s in seeds]
+            doc = {"case": "metais", "settings": args.settings, "options": opts, "reference": ref,
+                   "summary": _summary(runs), "runs": runs}
     json.dump(doc, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

@@ -20,10 +20,10 @@ last-bit difference shows up.  Covered:
 * both PCE maps (physical to basis and back) on a vector with all five
   marginal families, independent and correlated;
 * 50 instrumental draws, with the sampler record, for two targets so rare
-  that slice chains supply the draws: an exact linear surrogate at
-  beta = 4.5 in standard normal space (one chain), and a linear surrogate
-  on correlated non-gaussian inputs (eleven chains, so eleven starts are
-  mapped to standard space under a correlation).
+  that lock-step chains supply the draws: an exact linear surrogate at
+  beta = 4.5 in standard normal space (one chain, with burn-in), and a
+  linear surrogate on correlated non-gaussian inputs (eleven chains, whose
+  starts and states are mapped between the spaces under a correlation).
 
 It takes well under a minute on a two-core machine.
 """
