@@ -443,14 +443,19 @@ def _resolve_output(cfg: dict, args) -> tuple[str | None, str]:
             path = os.path.join(out_dir, path)
         if path.endswith(".csv"):
             form_ = "csv"
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"output directory of {path!r} does not exist")
     return path, form_
 
 
 def _write_text(path: str | None, text: str) -> None:
     """Write the output text to path, or to stdout when no path is set."""
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 

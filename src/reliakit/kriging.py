@@ -3,8 +3,10 @@
 The surrogate is a trend (constant or linear) plus a stationary Gaussian
 process.  Fitting maximizes the profiled log-likelihood over the kernel
 lengthscales; the trend coefficients and process variance then follow in
-closed form.  Prediction (:func:`krig_predict_batch`, one row or many)
-returns both a mean and a standard deviation.  The measures built on them
+closed form.  The likelihood and the model sum every correlation from one
+array per input dimension, so the model factors the very R the likelihood
+scored.  Prediction (:func:`krig_predict_batch`, one row or many) returns
+both a mean and a standard deviation.  The measures built on them
 (:func:`u_function`, :func:`classification_probability`,
 :func:`margin_probability`) take arrays of means and deviations, and that
 epistemic deviation drives two enrichment strategies:
@@ -98,17 +100,20 @@ class CorrelationKernel:
         return len(self.theta)
 
 
+def _scaled_powers(kernel: CorrelationKernel, a: np.ndarray, b: np.ndarray):
+    """Yield (|a_k - b_k| / theta_k)^power for rows a (n, M), b (m, M): one (n, m) array per k."""
+    for k, t in enumerate(kernel.theta):
+        h = np.abs(np.subtract.outer(a[:, k], b[:, k]))
+        h /= t
+        h **= kernel.power
+        yield h
+
+
 def kernel_cross(kernel: CorrelationKernel, a, b) -> np.ndarray:
-    """Correlation matrix between the rows of a (n, M) and b (m, M)."""
+    """Correlation matrix between the rows of a (n, M) and b (m, M), summed in dimension order."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    th = np.asarray(kernel.theta)
-    h = np.abs(a[:, None, :] - b[None, :, :]) / th
-    if kernel.power == 2.0:
-        s = np.einsum("nmk,nmk->nm", h, h)
-    else:
-        s = np.sum(h**kernel.power, axis=2)
-    return np.exp(-s)
+    return np.exp(-sum(_scaled_powers(kernel, a, b)))
 
 
 def kernel_matrix(kernel: CorrelationKernel, points, nugget: float = 0.0) -> np.ndarray:
@@ -139,9 +144,9 @@ class KrigingModel:
     """
 
     # The inverses are stored on purpose: triangular solves in their place
-    # ran the four-branch benchmarks about 1.4x slower and left the
-    # finite-difference noise of the likelihood as it was (that noise comes
-    # from the conditioning of R, not from forming L^-1).
+    # ran AK-MCS on four-branch (1e5 pool, 48 calls, 1e6-row band) about
+    # 1.25x slower in CPU time and left the likelihood's finite-difference
+    # noise as it was (it comes from the conditioning of R, not from L^-1).
 
     design: ExperimentalDesign
     trend: str
@@ -226,27 +231,21 @@ def _profiled_objective_grad(design, trend, kernel) -> tuple[float, np.ndarray]:
     vanish because both are profiled out.  A failed factorization returns
     1e30 with a zero gradient.
     """
-    th = np.asarray(kernel.theta)
-    pts = design.points
-    hp = (np.abs(pts[:, None, :] - pts[None, :, :]) / th) ** kernel.power  # (N, N, M)
-    r0 = np.exp(-hp.sum(axis=2))
+    terms = list(_scaled_powers(kernel, design.points, design.points))
+    r0 = np.exp(-sum(terms))
     try:
         model = _build(design, trend, kernel, r0)
     except (ConditioningError, FitError):
-        return 1e30, np.zeros(th.size)
+        return 1e30, np.zeros(kernel.dimension)
     linv, w = model._linv, model._w
     s2 = max(model.sigma2, 1e-300)
     # log det R = -2 sum log diag(Linv)
     logdet = -2.0 * float(np.sum(np.log(np.diag(linv))))
-    # tr(A D_k) over all k at once, with A = R^-1 - w w' / sigma2 symmetric
+    # tr(A D_k) for all k in one einsum (a sum per term moves fitted theta at
+    # roundoff), with A = R^-1 - w w' / sigma2 symmetric
     weights = (linv.T @ linv - np.outer(w, w) / s2) * r0
-    grad = kernel.power * np.einsum("ij,ijk->k", weights, hp)
+    grad = kernel.power * np.einsum("ij,ijk->k", weights, np.stack(terms, axis=2))
     return design.size * math.log(s2) + logdet, grad
-
-
-def _profiled_objective(design, trend, kernel) -> float:
-    """The value of :func:`_profiled_objective_grad` alone (``krig_fit``'s prescreen)."""
-    return _profiled_objective_grad(design, trend, kernel)[0]
 
 
 def krig_fit(
@@ -289,9 +288,7 @@ def krig_fit(
     # since the likelihood can have several basins (on a 48-point
     # four-branch design the random starts alone miss the best one)
     scales = np.linspace(0.0, 1.0, 17)
-    pre = min(
-        (_profiled_objective(design, trend, kernel_at(lo + s * (hi - lo))), s) for s in scales
-    )
+    pre = min((objective_grad(lo + s * (hi - lo))[0], s) for s in scales)
     starts.insert(0, lo + pre[1] * (hi - lo))
     while len(starts) < max(1, n_starts):
         starts.append(lo + (hi - lo) * rng.random(m))
@@ -434,9 +431,10 @@ def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
 
 # Past this many proposals per accepted draw and per input dimension,
 # rejection gives way to chains.  A chain draw (40 lock-step steps) costs
-# about 1,000 proposals per dimension for one chain in 2-D, 140 in 6-D and
-# under 100 from ten chains up (timed on linear surrogates); rejection keeps
-# the draws i.i.d., so their CoV is honest, and is kept longer.
+# about 4,000 proposals per dimension for one chain in 2-D and 520 in 6-D,
+# 200 and 30 for ten chains (CPU time, exact linear surrogates at beta = 4.5
+# on 12- and 18-point designs).  Rejection keeps the draws i.i.d., so their
+# CoV is honest, and is kept longer, except against one chain in 2-D.
 _PROPOSALS_PER_DRAW_PER_DIM = 3_000
 
 

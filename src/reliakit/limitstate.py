@@ -312,7 +312,10 @@ def limit_state_from_expression(
         env = dict(base_env)
         for nm, idx in var_names.items():
             env[nm] = float(x[idx])
-        return float(eval(code, {"__builtins__": {}}, env))
+        try:
+            return float(eval(code, {"__builtins__": {}}, env))
+        except TypeError as exc:  # a complex value, e.g. a negative base to a fractional power
+            raise ValueError(f"the expression has no real value: {exc}") from None
 
     return LimitState(
         dimension=dimension,

@@ -174,6 +174,13 @@ class TestModelErrors:
         )
         assert proc.returncode == 3, proc.stderr
 
+    def test_complex_value_exits_three(self, tmp_path, capsys):
+        # a gaussian x1 below 5 gives a negative base to a fractional power
+        cfg = self.expression_config(tmp_path, "(x1 - 5)^0.5 + 1")
+        assert main(["run", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "no real value" in err
+
 
 class TestConfigValidation:
     def test_schemas_are_valid(self):
@@ -245,6 +252,30 @@ class TestConfigValidation:
         )
         assert main(["run", "--config", cfg]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_missing_output_directory(self, tmp_path, capsys, no_model_calls, command, via):
+        out = str(tmp_path / "missing" / "out.json")
+        cfg = {"problem": {"benchmark": "waarts"}, "seed": 0}
+        if command == "run":
+            cfg["method"] = {"name": "mc", "n": 100}
+        else:
+            cfg["methods"] = [{"name": "mc", "n": 100}]
+        args = [command, "--config"]
+        if via == "config":
+            cfg["output"] = {"path": out}
+            args.append(write_config(tmp_path, cfg))
+        else:
+            args += [write_config(tmp_path, cfg), "--output", out]
+        assert main(args) == 2
+        assert "does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, linear_mc_config(str(tmp_path), n=100))
+        assert main(["run", "--config", cfg]) == 2
+        assert "cannot write output" in capsys.readouterr().err
 
     def test_bad_marginal_params_rejected(self, tmp_path):
         cfg = write_config(

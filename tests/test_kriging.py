@@ -87,6 +87,20 @@ class TestKernel:
         np.testing.assert_allclose(r, r.T, atol=1e-15)
         np.testing.assert_allclose(np.diag(r), 1.0 + 1e-6, atol=1e-15)
 
+    @pytest.mark.parametrize("power", [2.0, 1.5])
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_matches_per_entry_oracle(self, m, power):
+        rng = np.random.default_rng(m)
+        k = CorrelationKernel(tuple(rng.uniform(0.5, 2.0, m)), power)
+        a, b = rng.normal(size=(5, m)), rng.normal(size=(7, m))
+        expected = np.empty((5, 7))
+        for i, j in np.ndindex(expected.shape):
+            s = 0.0
+            for ak, bk, t in zip(a[i], b[j], k.theta):
+                s += (abs(ak - bk) / t) ** power
+            expected[i, j] = math.exp(-s)
+        np.testing.assert_allclose(kernel_cross(k, a, b), expected, rtol=1e-14, atol=0.0)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             CorrelationKernel((-1.0,))
@@ -174,20 +188,20 @@ class TestClosedForms:
 
 class TestMle:
     def test_fitted_theta_beats_grid(self):
-        from reliakit.kriging import _profiled_objective
+        from reliakit.kriging import _profiled_objective_grad
 
         design = one_d_design(12, fn=lambda x: np.sin(2.0 * x[:, 0]))
         model = krig_fit(design, trend="constant", seed=0)
-        best = _profiled_objective(design, "constant", model.kernel)
+        best = _profiled_objective_grad(design, "constant", model.kernel)[0]
         for theta in np.geomspace(0.02, 20.0, 100):
-            val = _profiled_objective(
+            val = _profiled_objective_grad(
                 design, "constant", CorrelationKernel((float(theta),))
-            )
+            )[0]
             assert best <= val + 1e-6
 
     @pytest.mark.parametrize("trend", ["constant", "linear"])
     def test_objective_matches_dense_oracle(self, trend):
-        from reliakit.kriging import _profiled_objective
+        from reliakit.kriging import _profiled_objective_grad
 
         design = one_d_design(10, seed=2)
         kernel = CorrelationKernel((0.5,))
@@ -196,10 +210,11 @@ class TestMle:
         sign, logdet = np.linalg.slogdet(r)
         assert sign == 1.0
         expected = design.size * math.log(sigma2) + logdet
-        assert _profiled_objective(design, trend, kernel) == pytest.approx(expected, rel=1e-10)
+        value = _profiled_objective_grad(design, trend, kernel)[0]
+        assert value == pytest.approx(expected, rel=1e-10)
 
     def test_objective_failure_branch(self):
-        from reliakit.kriging import _profiled_objective, _profiled_objective_grad
+        from reliakit.kriging import _profiled_objective_grad
 
         # two points cannot carry a linear trend in 1-D (FitError inside)
         design = ExperimentalDesign(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
@@ -207,11 +222,11 @@ class TestMle:
         value, grad = _profiled_objective_grad(design, "linear", kernel)
         assert value == 1e30
         np.testing.assert_array_equal(grad, np.zeros(1))
-        assert _profiled_objective(design, "linear", kernel) == 1e30
+        assert _profiled_objective_grad(design, "linear", kernel)[0] == 1e30
 
     @pytest.mark.parametrize("power", [2.0, 1.5])
     def test_gradient_matches_central_differences(self, power):
-        from reliakit.kriging import _profiled_objective, _profiled_objective_grad
+        from reliakit.kriging import _profiled_objective_grad
 
         rng = np.random.default_rng(5)
         x = rng.uniform(-2.0, 2.0, size=(15, 2))
@@ -225,7 +240,7 @@ class TestMle:
         for design, trend, log_theta in cases:
             def objective(lt):
                 kern = CorrelationKernel(tuple(np.exp(lt)), power)
-                return _profiled_objective(design, trend, kern)
+                return _profiled_objective_grad(design, trend, kern)[0]
 
             value, grad = _profiled_objective_grad(
                 design, trend, CorrelationKernel(tuple(np.exp(log_theta)), power)
@@ -256,6 +271,28 @@ class TestMle:
         with pytest.warns(RuntimeWarning):
             model = krig_fit(design, trend="constant", seed=2)
         assert model.diagnostics.get("at_bounds") is True
+
+    @pytest.mark.parametrize("power", [2.0, 1.5])
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_model_correlation_is_the_likelihood_one(self, monkeypatch, m, power):
+        from reliakit import kriging
+
+        x = np.random.default_rng(m).uniform(-2.0, 2.0, size=(5 * m, m))
+        design = ExperimentalDesign(x, np.sin(x[:, 0]) + 0.2 * np.sum(x**2, axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = krig_fit(design, power=power, seed=0)
+        factored = []
+        build = kriging._build
+
+        def recording_build(design, trend, kernel, r0, *args):
+            factored.append(r0)
+            return build(design, trend, kernel, r0, *args)
+
+        monkeypatch.setattr(kriging, "_build", recording_build)
+        kriging._profiled_objective_grad(design, "constant", model.kernel)
+        assert len(factored) == 1
+        np.testing.assert_array_equal(kernel_matrix(model.kernel, x), factored[0])
 
     def test_anisotropic_lengthscales(self):
         # g varies fast in x1 and not at all in x2

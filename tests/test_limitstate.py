@@ -224,6 +224,17 @@ class TestExpressionParser:
         pts = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(evaluate_batch(ls, pts), [2.0, 12.0])
 
+    @pytest.mark.parametrize(
+        "expr", ["(x1 - 5)^0.5 + 1", "sqrt((x1 - 5)^0.5)", "(x1 - 5)^0.5 < 1"]
+    )
+    def test_complex_value_is_a_counted_model_error(self, expr):
+        ls = limit_state_from_expression(expr, 1)
+        ledger = EvalLedger()
+        pts = np.array([[6.0], [9.0], [1.0], [7.0]])
+        with pytest.raises(ModelError, match="row 2.*no real value"):
+            evaluate_batch(ls, pts, ledger=ledger)
+        assert ledger.count == 3
+
 
 def test_fixed_params_recorded():
     ls = benchmark_linear(2.5, dimension=2)

@@ -17,6 +17,9 @@ last-bit difference shows up.  Covered:
 * the ``reliakit compare`` CSV on ``perfbench/compare_physical.json`` at
   seed 0;
 * FORM and FOSM on the compare problem and on four-branch;
+* ``krig_fit`` on seeded 3-D and 6-D designs at kernel powers 2 and 1.5:
+  lengthscales, objective, and the sums of mean and deviation over 1,000
+  predicted rows;
 * both PCE maps (physical to basis and back) on a vector with all five
   marginal families, independent and correlated;
 * 50 instrumental draws, with the sampler record, for two targets so rare
@@ -59,7 +62,9 @@ from reliakit import (  # noqa: E402
     form,
     initial_design,
     krig_build,
+    krig_fit,
     krig_pf_bounds,
+    krig_predict_batch,
     metais_estimate,
     physical_to_basis,
     sample_instrumental,
@@ -135,6 +140,25 @@ def _compare_csv(spec: dict) -> list[str]:
         return [f"exit {code}"] + out.read_text().splitlines()
 
 
+def _kriging_fits_nd() -> dict:
+    out = {}
+    for m in (3, 6):
+        rng = np.random.default_rng(m)
+        x = rng.uniform(-2.0, 2.0, size=(8 * m, m))
+        design = ExperimentalDesign(x, np.sin(x[:, 0]) + 0.3 * np.sum(x**2, axis=1))
+        xs = rng.uniform(-2.0, 2.0, size=(1000, m))
+        for power in (2.0, 1.5):
+            model = krig_fit(design, power=power, seed=0)
+            mu, sd = krig_predict_batch(model, xs)
+            out[f"m{m}_power{power}"] = {
+                "theta": model.kernel.theta,
+                "objective": model.diagnostics["objective"],
+                "mean_sum": np.sum(mu),
+                "sd_sum": np.sum(sd),
+            }
+    return out
+
+
 def _pce_maps() -> dict:
     margs = (
         Marginal.gaussian(1.0, 2.0),
@@ -202,6 +226,7 @@ def main() -> int:
             "compare_csv": _compare_csv(spec),
             "gradient_compare": _gradient_methods(*cli._build_problem(spec["problem"])),
             "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
+            "kriging_fits_nd": _kriging_fits_nd(),
             "pce_maps": _pce_maps(),
             "rare_instrumental": _rare_instrumental(),
         }
