@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
@@ -143,10 +143,10 @@ class KrigingModel:
     Cholesky factor of its normal matrix.
     """
 
-    # The inverses are stored on purpose: triangular solves in their place
-    # ran AK-MCS on four-branch (1e5 pool, 48 calls, 1e6-row band) about
-    # 1.25x slower in CPU time and left the likelihood's finite-difference
-    # noise as it was (it comes from the conditioning of R, not from L^-1).
+    # The inverses are stored on purpose: a prediction is then matrix
+    # products only (triangular solves in their place ran AK-MCS on
+    # four-branch, 1e5 pool, 48 calls, 1e6-row band, about 1.25x slower in
+    # CPU time).  _build forms each one once from its factor, by LAPACK dtrtri.
 
     design: ExperimentalDesign
     trend: str
@@ -188,19 +188,20 @@ def _build(design: ExperimentalDesign, trend: str, kernel: CorrelationKernel,
     f = _trend_matrix(trend, pts)
     if n <= f.shape[1]:
         raise FitError(f"need more than {f.shape[1]} design points for trend {trend!r}")
-    linv = solve_triangular(L, np.eye(n), lower=True)
+    # dtrtri's info is nonzero only for an exactly zero diagonal, which a
+    # successful Cholesky factorization rules out
+    linv = dtrtri(L, lower=1)[0]
     ft = linv @ f
     yt = linv @ y
     try:
-        gc = np.linalg.cholesky(ft.T @ ft)
+        gci = dtrtri(np.linalg.cholesky(ft.T @ ft), lower=1)[0]
     except np.linalg.LinAlgError:
         raise ConditioningError("trend basis is degenerate on this design") from None
-    a = solve_triangular(gc.T, solve_triangular(gc, ft.T @ yt, lower=True), lower=False)
+    a = gci.T @ (gci @ (ft.T @ yt))
     resid_t = yt - ft @ a
     return KrigingModel(
         design, trend, kernel, sigma2=float(resid_t @ resid_t) / n, a=a, nugget=nugget,
-        _linv=linv, _w=linv.T @ resid_t, _ft=ft,
-        _gci=solve_triangular(gc, np.eye(gc.shape[0]), lower=True),
+        _linv=linv, _w=linv.T @ resid_t, _ft=ft, _gci=gci,
     )
 
 

@@ -286,6 +286,8 @@ def limit_state_from_expression(
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         raise ModelError(f"cannot parse expression: {exc}") from None
+    except (RecursionError, MemoryError):  # how the parser reports too deep a nesting
+        raise ModelError("expression is too long or too deeply nested to parse") from None
     params = dict(params or {})
     var_names = {f"x{i + 1}": i for i in range(dimension)}
     for node in ast.walk(tree):
@@ -304,7 +306,10 @@ def limit_state_from_expression(
             if not isinstance(node.value, (int, float)):
                 raise ModelError(f"non-numeric constant {node.value!r} in expression")
             node.value = float(node.value)
-    code = compile(tree, "<limit-state>", "eval")
+    try:
+        code = compile(tree, "<limit-state>", "eval")
+    except RecursionError:  # a sum of a few thousand terms nests one node per term
+        raise ModelError("expression is too long or too deeply nested to compile") from None
     base_env = dict(_ALLOWED_FUNCS)
     base_env.update(params)
 

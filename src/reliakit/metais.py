@@ -130,14 +130,8 @@ def estimate_pf_epsilon(
     return mean, _cov_of_mean(mean, math.fsum(parts_sq) / n_eps, n_eps)
 
 
-def sample_instrumental(
-    model: KrigingModel,
-    rv: RandomVector,
-    n: int,
-    seed=None,
-    return_stats: bool = False,
-):
-    """Draw n points from the instrumental density pi(x) f_X(x).
+def sample_instrumental(model: KrigingModel, rv: RandomVector, n: int, seed=None):
+    """Draw n points from the instrumental density pi(x) f_X(x), with the sampler's record.
 
     Inputs are drawn from f_X in batches and kept with probability pi, so
     the draws are i.i.d.; the expected number of proposals is
@@ -147,12 +141,11 @@ def sample_instrumental(
     point with the largest pi when there is none), supply the draws still
     missing.  :class:`SamplerError` is raised when no design or probe point
     has pi >= 1e-12, ``ValueError`` when n < 1.  Draws are deterministic
-    per seed.  The stats name the ``sampler`` used ("rejection" or "chain")
+    per seed.  The record names the ``sampler`` used ("rejection" or "chain")
     with its ``n_proposals`` and ``acceptance``, plus ``n_chains``,
     ``n_steps`` and ``move_rate`` for "chain".
     """
-    xs, stats = _sample_weighted(model, rv, classification_probability, n, make_rng(seed))
-    return (xs, stats) if return_stats else xs
+    return _sample_weighted(model, rv, classification_probability, n, make_rng(seed))
 
 
 def estimate_alpha_corr(
@@ -250,9 +243,7 @@ def metais_estimate(
             "the surrogate assigns zero probability to failure everywhere; "
             "no instrumental density exists"
         )
-    samples, stats = sample_instrumental(
-        model, rv, n_corr, seed=s_chain, return_stats=True
-    )
+    samples, stats = sample_instrumental(model, rv, n_corr, seed=s_chain)
     alpha, cov_alpha = estimate_alpha_corr(ls, model, samples, ledger=ledger)
     pf = alpha * pf_eps
     cov_total = math.sqrt(cov_alpha * cov_alpha + cov_eps * cov_eps)

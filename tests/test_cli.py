@@ -277,6 +277,32 @@ class TestConfigValidation:
         assert main(["run", "--config", cfg]) == 2
         assert "cannot write output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "+".join(["x1"] * 2_000),  # RecursionError while compiling
+            "+".join(["x1"] * 20_000),  # RecursionError while parsing
+            "-" * 100_000 + "x1",  # MemoryError while parsing
+        ],
+        ids=["compile_recursion", "parse_recursion", "parse_memory"],
+    )
+    def test_oversized_expression_exits_two(self, tmp_path, capsys, expression):
+        out = tmp_path / "out.json"
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {
+                    "expression": expression,
+                    "marginals": [{"family": "gaussian", "params": [0.0, 1.0]}],
+                },
+                "method": {"name": "mc", "n": 100},
+                "output": {"path": str(out)},
+            },
+        )
+        assert main(["run", "--config", cfg]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_marginal_params_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,

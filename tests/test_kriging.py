@@ -118,18 +118,29 @@ class TestClosedForms:
         np.testing.assert_allclose(model.a, a, rtol=1e-8)
         assert model.sigma2 == pytest.approx(sigma2, rel=1e-8)
 
-    def test_prediction_matches_dense_formulas(self):
-        design = one_d_design(9)
-        kernel = CorrelationKernel((0.6,))
-        model = krig_build(design, "constant", kernel)
-        a, sigma2, r, rinv, f = dense_gls_oracle(design, "constant", kernel, model.nugget)
-        xs = np.linspace(-0.3, 2.3, 25)[:, None]
+    @pytest.mark.parametrize("trend", ["constant", "linear"])
+    @pytest.mark.parametrize("dims", ["1d", "2d"])
+    def test_prediction_matches_dense_formulas(self, trend, dims):
+        # with the linear trend (P > 1) the trend-block inverse and the
+        # coefficients taken from it enter both the mean and the variance
+        if dims == "1d":
+            design = one_d_design(9)
+            kernel = CorrelationKernel((0.6,))
+            xs = np.linspace(-0.3, 2.3, 25)[:, None]
+        else:
+            rng = np.random.default_rng(4)
+            x = rng.uniform(0.0, 2.0, size=(14, 2))
+            design = ExperimentalDesign(x, np.sin(3.0 * x[:, 0]) + 0.5 * x[:, 1] ** 2)
+            kernel = CorrelationKernel((0.6, 1.4))
+            xs = rng.uniform(-0.3, 2.3, size=(25, 2))
+        model = krig_build(design, trend, kernel)
+        a, sigma2, r, rinv, f = dense_gls_oracle(design, trend, kernel, model.nugget)
+        fs = np.ones((25, 1)) if trend == "constant" else np.column_stack([np.ones(25), xs])
         rx = kernel_cross(kernel, xs, design.points)
-        mu_oracle = rx @ rinv @ (design.responses - f[:, 0] * a[0]) + a[0]
+        mu_oracle = fs @ a + rx @ rinv @ (design.responses - f @ a)
         mu, sd = krig_predict_batch(model, xs)
         np.testing.assert_allclose(mu, mu_oracle, rtol=1e-8, atol=1e-10)
         # variance from the blockwise formula with the trend correction
-        fs = np.ones((25, 1))
         u_t = f.T @ rinv @ rx.T - fs.T
         gram = f.T @ rinv @ f
         var_oracle = sigma2 * (

@@ -130,21 +130,21 @@ class TestSampler:
         # all-fail surrogate: the instrumental is exactly f_X
         rv = standard_normal_vector(2)
         model = certain_all_fail_model(rv)
-        xs = sample_instrumental(model, rv, 1500, seed=10)
+        xs, _ = sample_instrumental(model, rv, 1500, seed=10)
         for j in range(2):
             res = stats.kstest(xs[:, j], stats.norm.cdf)
             assert res.pvalue > 0.01
 
     def test_all_draws_have_positive_pi(self):
         model, rv = ambiguous_waarts_model()
-        xs = sample_instrumental(model, rv, 500, seed=11)
+        xs, _ = sample_instrumental(model, rv, 500, seed=11)
         dens = instrumental_density(model, rv, xs)
         assert np.all(dens > 0.0)
 
     def test_linear_surrogate_shifts_mass_to_failure_side(self):
         rv = standard_normal_vector(2)
         model = exact_linear_model(rv, beta0=2.0)
-        xs = sample_instrumental(model, rv, 800, seed=12)
+        xs, _ = sample_instrumental(model, rv, 800, seed=12)
         assert float(np.mean(xs[:, 0])) > 1.5
 
     def test_no_support_raises(self):
@@ -160,13 +160,14 @@ class TestSampler:
 
     def test_deterministic_per_seed(self):
         model, rv = ambiguous_waarts_model()
-        a = sample_instrumental(model, rv, 200, seed=15)
-        b = sample_instrumental(model, rv, 200, seed=15)
+        a, info_a = sample_instrumental(model, rv, 200, seed=15)
+        b, info_b = sample_instrumental(model, rv, 200, seed=15)
         np.testing.assert_array_equal(a, b)
+        assert info_a == info_b
 
-    def test_stats_returned_on_request(self):
+    def test_returns_the_sampler_record(self):
         model, rv = ambiguous_waarts_model()
-        xs, info = sample_instrumental(model, rv, 100, seed=16, return_stats=True)
+        xs, info = sample_instrumental(model, rv, 100, seed=16)
         assert xs.shape == (100, 2)
         assert info["sampler"] == "rejection"
         assert info["n_proposals"] > 100
@@ -177,7 +178,7 @@ class TestSampler:
         # x1 > 2 in x1 and untouched N(0, 1) in x2, drawn i.i.d.
         rv = standard_normal_vector(2)
         model = exact_linear_model(rv, beta0=2.0)
-        xs, info = sample_instrumental(model, rv, 1000, seed=30, return_stats=True)
+        xs, info = sample_instrumental(model, rv, 1000, seed=30)
         assert info["sampler"] == "rejection"
         assert info["acceptance"] == pytest.approx(float(ndtr(-2.0)), rel=0.2)
         assert stats.kstest(xs[:, 0], stats.truncnorm(2.0, np.inf).cdf).pvalue > 0.01
@@ -188,7 +189,7 @@ class TestSampler:
         # draws; the switch comes after a few batches at most
         rv = standard_normal_vector(2)
         model = exact_linear_model(rv, beta0=4.5)
-        xs, info = sample_instrumental(model, rv, 50, seed=31, return_stats=True)
+        xs, info = sample_instrumental(model, rv, 50, seed=31)
         assert info["sampler"] == "chain"
         assert 0 < info["n_proposals"] < 100_000
         assert info["n_steps"] > 50
@@ -203,9 +204,9 @@ class TestSampler:
 
         rv = standard_normal_vector(2)
         model = exact_linear_model(rv, beta0=2.0)
-        alone = sample_instrumental(model, rv, 1000, seed=32)
+        alone, _ = sample_instrumental(model, rv, 1000, seed=32)
         monkeypatch.setattr(kriging, "_PROPOSALS_PER_DRAW_PER_DIM", 1)
-        xs, info = sample_instrumental(model, rv, 1000, seed=32, return_stats=True)
+        xs, info = sample_instrumental(model, rv, 1000, seed=32)
         kept = round(info["acceptance"] * info["n_proposals"])
         assert info["sampler"] == "chain"
         assert 0 < kept < 1000
@@ -245,21 +246,21 @@ class TestAlphaCorr:
         rv = standard_normal_vector(2)
         model = exact_linear_model(rv, beta0=2.0)
         ls = benchmark_linear(2.0, dimension=2)
-        xs = sample_instrumental(model, rv, 400, seed=17)
+        xs, _ = sample_instrumental(model, rv, 400, seed=17)
         alpha, cov = estimate_alpha_corr(ls, model, xs)
         assert alpha == 1.0
         assert cov == 0.0
 
     def test_ledger_charged_per_sample(self):
         model, rv = ambiguous_waarts_model()
-        xs = sample_instrumental(model, rv, 150, seed=18)
+        xs, _ = sample_instrumental(model, rv, 150, seed=18)
         ledger = EvalLedger()
         estimate_alpha_corr(benchmark_waarts(), model, xs, ledger=ledger)
         assert ledger.count == 150
 
     def test_order_invariance(self):
         model, rv = ambiguous_waarts_model()
-        xs = sample_instrumental(model, rv, 200, seed=19)
+        xs, _ = sample_instrumental(model, rv, 200, seed=19)
         a, _ = estimate_alpha_corr(benchmark_waarts(), model, xs)
         perm = np.random.default_rng(20).permutation(200)
         b, _ = estimate_alpha_corr(benchmark_waarts(), model, xs[perm])

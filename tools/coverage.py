@@ -165,7 +165,7 @@ def _sampler_runs(seeds: list[int]) -> list[dict]:
     runs = []
     for seed in seeds:
         t0 = time.process_time()
-        xs, stats = sample_instrumental(model, rv, SAMPLER_DRAWS, seed=seed, return_stats=True)
+        xs, stats = sample_instrumental(model, rv, SAMPLER_DRAWS, seed=seed)
         runs.append({
             "seed": seed,
             "sampler": stats["sampler"],

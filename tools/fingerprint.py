@@ -3,11 +3,16 @@
 Usage, from the root of a checkout::
 
     python3 tools/fingerprint.py > fingerprint.json
+    python3 tools/fingerprint.py --compare A.json B.json
 
 The package is imported from the checkout's own ``src/``, so running the
-script in two trees and diffing the outputs shows exactly which seeded
+script in two trees and comparing the outputs shows exactly which seeded
 numbers a change moves.  Floats are printed with ``float.hex`` so that a
-last-bit difference shows up.  Covered:
+last-bit difference shows up.  ``--compare`` prints one line per top-level
+entry: ``identical``, or how many floats differ with the largest relative
+change and where it is, and the paths of any other values that differ
+(counts, stop reasons, sampler names, lists of another length).  It exits
+0 when every entry is identical and 1 otherwise.  Covered:
 
 * meta-IS on four-branch at the benchmark settings (n_corr 200, budget 48,
   8 clusters, tol 0) for two seeds;
@@ -33,7 +38,10 @@ It takes well under a minute on a two-core machine.
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
+import re
 import sys
 import tempfile
 import warnings
@@ -192,11 +200,20 @@ def _squared_exponential(theta) -> CorrelationKernel:
         return CorrelationKernel("squared_exponential", theta)
 
 
+def _sample_with_record(model, rv, n, seed):
+    # Earlier versions returned the sampler record only on request; asking
+    # for it when the option exists keeps the script runnable on either side.
+    try:
+        return sample_instrumental(model, rv, n, seed=seed, return_stats=True)
+    except TypeError:
+        return sample_instrumental(model, rv, n, seed=seed)
+
+
 def _instrumental_draws(ls, rv, n_design) -> dict:
     pts = initial_design(rv, n_design, seed=1)
     design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
     model = krig_build(design, "linear", _squared_exponential((2.0,) * rv.dimension))
-    xs, stats = sample_instrumental(model, rv, 50, seed=31, return_stats=True)
+    xs, stats = _sample_with_record(model, rv, 50, seed=31)
     return {"draws": xs, "stats": stats}
 
 
@@ -215,7 +232,71 @@ def _rare_instrumental() -> dict:
     }
 
 
-def main() -> int:
+_HEX_FLOAT = re.compile(r"-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[+-]\d+|inf|nan)")
+
+
+def _as_float(v):
+    """The float a fingerprint value encodes, or None when it encodes none."""
+    if isinstance(v, str) and _HEX_FLOAT.fullmatch(v):
+        return float.fromhex(v)
+    return None
+
+
+def _diff(a, b, path: str, out: dict) -> None:
+    """Walk two fingerprint values in step, tallying float changes and other differences."""
+    fa, fb = _as_float(a), _as_float(b)
+    if fa is not None and fb is not None:
+        out["n_floats"] += 1
+        if fa != fb and not (math.isnan(fa) and math.isnan(fb)):
+            finite = math.isfinite(fa) and math.isfinite(fb)
+            rel = abs(fa - fb) / max(abs(fa), abs(fb)) if finite else math.inf
+            out["changed"].append((rel, path))
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(a.keys() | b.keys()):
+            if k in a and k in b:
+                _diff(a[k], b[k], f"{path}.{k}", out)
+            else:
+                out["other"].append(f"{path}.{k}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _diff(x, y, f"{path}[{i}]", out)
+    elif a != b:
+        out["other"].append(path)
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print one line per top-level entry of two fingerprints; 0 when all are identical."""
+    doc_a = json.loads(Path(path_a).read_text())
+    doc_b = json.loads(Path(path_b).read_text())
+    status = 0
+    for key in sorted(doc_a.keys() | doc_b.keys()):
+        if key not in doc_a or key not in doc_b:
+            print(f"{key}: only in {path_a if key in doc_a else path_b}")
+            status = 1
+            continue
+        out = {"n_floats": 0, "changed": [], "other": []}
+        _diff(doc_a[key], doc_b[key], "", out)
+        if not out["changed"] and not out["other"]:
+            print(f"{key}: identical")
+            continue
+        status = 1
+        line = f"{key}: {len(out['changed'])} of {out['n_floats']} floats differ"
+        if out["changed"]:
+            rel, where = max(out["changed"])
+            line += f", max rel {rel:.2g} at {where}"
+        other = out["other"]
+        shown = ", ".join(other[:5]) + (f" (+{len(other) - 5} more)" if len(other) > 5 else "")
+        print(f"{line}; non-float: {shown or 'none'}")
+    return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print, or compare, fingerprints of seeded outputs.")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two fingerprint files instead of computing one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     spec = json.loads(COMPARE_CONFIG.read_text())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
