@@ -34,17 +34,14 @@ from .kriging import (
     adaptive_margin_design,
     ak_mcs,
     classification_probability,
-    enrich_ak,
     enrich_margin,
     initial_design,
     kernel_cross,
     kernel_matrix,
     krig_build,
     krig_fit,
-    krig_from_json,
     krig_pf_bounds,
     krig_predict_batch,
-    krig_to_json,
     margin_probability,
     u_function,
 )

@@ -20,6 +20,7 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
+from ._blas import one_blas_thread
 from .errors import (
     ConditioningError,
     DomainError,
@@ -530,6 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@one_blas_thread
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:

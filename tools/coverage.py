@@ -43,6 +43,11 @@ per call; per statistic the spread, the sd of the per-seed means over the
 sd of a mean of 200 i.i.d. draws (1 for i.i.d. draws, larger for
 correlated ones); and the bias, the mean over seeds minus the exact value
 in standard errors of that mean.  One call takes about a second.
+
+Both summaries also hold ``blas_threads``: the thread count of each loaded
+OpenBLAS copy, by library file name, read under the pin that every public
+estimator runs in (``reliakit._blas``: one thread, unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set).
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ from reliakit import (  # noqa: E402
     sample_instrumental,
     standard_normal_vector,
 )
+from reliakit._blas import one_blas_thread, thread_counts  # noqa: E402
 
 SETTINGS = {
     "paper": dict(n_corr=200, budget=100),
@@ -208,6 +214,7 @@ def main(argv=None) -> int:
             runs = [_run(s, opts, ref) for s in seeds]
             doc = {"case": "metais", "settings": args.settings, "options": opts, "reference": ref,
                    "summary": _summary(runs), "runs": runs}
+    doc["summary"]["blas_threads"] = one_blas_thread(thread_counts)()
     json.dump(doc, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
