@@ -59,7 +59,6 @@ from .metais import (
     MetaIsResult,
     estimate_alpha_corr,
     estimate_pf_epsilon,
-    instrumental_density,
     metais_estimate,
     sample_instrumental,
 )
@@ -74,7 +73,6 @@ from .pce import (
     pce_adaptive,
     pce_fit_projection,
     pce_fit_regression,
-    pce_loo_error,
     pce_moments,
     pce_pf,
     physical_to_basis,

@@ -67,6 +67,33 @@ def _cov_of_mean(mean: float, second: float, n: int) -> float:
     return math.sqrt(max(second - mean * mean, 0.0) / n) / mean
 
 
+_SWEEP_BLOCK = 100_000
+
+
+def _sweep(rv: RandomVector, f, n: int, seed) -> tuple[list[float], list[float]]:
+    """Monte Carlo means of f over n draws of X, and the CoV of each mean.
+
+    ``f`` maps a block of rows to one value per row, or to J rows of such
+    values; the result lists one mean and one CoV per row of f.  The draws
+    come in blocks of at most 100,000 rows from one generator in order, so
+    a seed gives the same draws whatever n is and memory stays bounded by
+    one block.  Block sums are compensated across blocks.  Raises
+    ``ValueError`` when n < 1.
+    """
+    if n < 1:
+        raise ValueError("sample size must be >= 1")
+    rng = make_rng(seed)
+    sums, squares = [], []
+    for done in range(0, n, _SWEEP_BLOCK):
+        rows = min(_SWEEP_BLOCK, n - done)
+        v = np.atleast_2d(f(rv.sample(rows, scheme="monte_carlo", seed=rng)))
+        sums.append(np.sum(v, axis=1))
+        squares.append(np.sum(v * v, axis=1))
+    means = [math.fsum(s) / n for s in np.transpose(sums)]
+    seconds = [math.fsum(s) / n for s in np.transpose(squares)]
+    return means, [_cov_of_mean(m, s2, n) for m, s2 in zip(means, seconds)]
+
+
 def _mean_cov(w: np.ndarray) -> tuple[float, float]:
     """Sample mean of w and the coefficient of variation of that mean.
 
@@ -136,25 +163,15 @@ def estimate_mc(
     failure is observed the estimate is 0 with infinite uncertainty; the
     result carries ``extras['no_failures'] = True`` and a warning is issued.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    nf = 0
-    for xs in rv.sample_chunks(n, seed=seed):
-        nf += int(np.count_nonzero(evaluate_batch(ls, xs, ledger=ledger) <= 0.0))
-    pf = nf / n
-    extras = {"n_failures": nf}
-    if nf == 0:
+    (pf,), (cov,) = _sweep(rv, lambda xs: evaluate_batch(ls, xs, ledger=ledger) <= 0.0, n, seed)
+    extras = {"n_failures": round(pf * n)}
+    if pf == 0.0:
         warnings.warn(
             "no failures observed; the failure probability is below the "
             "resolution of this sample size",
             RuntimeWarning,
         )
         extras["no_failures"] = True
-        cov = math.inf
-    elif nf == n:
-        cov = 0.0
-    else:
-        cov = mc_cov(pf, n)
     return ReliabilityResult(pf=pf, cov=cov, n_calls=n, method="mc", extras=extras)
 
 

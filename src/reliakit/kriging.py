@@ -21,6 +21,8 @@ Both methods run one shared loop that evaluates the initial design, then
 refits the surrogate, predicts one fixed Monte Carlo pool, lets the
 strategy judge the predictions and pick new points, and stops on the
 strategy's criterion or the call budget, with every true-model call counted.
+The pf band of the +-k sigma margin averages three indicators over the
+Monte Carlo sweep that crude Monte Carlo and every surrogate pf share.
 
 The meta-IS instrumental density w(x) f_X(x), with 0 <= w <= 1 set by the
 surrogate, is sampled exactly: batches of input draws are predicted at once
@@ -44,9 +46,10 @@ from scipy.special import ndtr
 
 from ._blas import one_blas_thread
 from .errors import ConditioningError, FitError, MarginCollapsed, SamplerError
+from .estimators import _sweep
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
 from .mcmc import pcn_sample
-from .probmodel import RandomVector, make_rng
+from .probmodel import RandomVector, _latin_hypercube, make_rng
 
 __all__ = [
     "CorrelationKernel",
@@ -552,16 +555,13 @@ def krig_pf_bounds(
     mu <= -k sigma, mu <= 0 and mu <= +k sigma.  Computed on the same
     draws, so the ordering lower <= central <= upper holds eventwise.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    chunks = rv.sample_chunks(n, seed=seed)
-    counts = sum(_band_counts(*krig_predict_batch(model, xs), k) for xs in chunks)
-    return tuple(int(c) / n for c in counts)
+    means, _ = _sweep(rv, lambda xs: _band(*krig_predict_batch(model, xs), k), n, seed)
+    return tuple(means)
 
 
-def _band_counts(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
-    """Numbers of rows with mu <= -k sigma, mu <= 0 and mu <= +k sigma."""
-    return np.array([np.count_nonzero(mu <= t) for t in (-k * sd, 0.0, k * sd)])
+def _band(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
+    """Indicator rows of mu <= -k sigma, mu <= 0 and mu <= +k sigma."""
+    return np.array([mu <= t for t in (-k * sd, 0.0, k * sd)])
 
 
 def initial_design(rv: RandomVector, n: int, seed=None) -> np.ndarray:
@@ -573,11 +573,7 @@ def initial_design(rv: RandomVector, n: int, seed=None) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_rng(seed)
-    m = rv.dimension
-    u = np.empty((n, m))
-    for j in range(m):
-        u[:, j] = (rng.permutation(n) + rng.random(n)) / n
+    u = _latin_hypercube(make_rng(seed), n, rv.dimension)
     return rv.from_standard(5.0 * (2.0 * u - 1.0))
 
 
@@ -705,7 +701,7 @@ def adaptive_margin_design(
     pool = rv.sample(n_bounds, scheme="monte_carlo", seed=s_bounds)
 
     def step(model, mu, sd):
-        lo, mid, hi = (int(c) / n_bounds for c in _band_counts(mu, sd, k))
+        lo, mid, hi = _band(mu, sd, k).mean(axis=1)
         spread = (hi - lo) / mid if mid > 0.0 else math.inf
         entry = {"pf_lower": lo, "pf_central": mid, "pf_upper": hi, "spread": spread}
 

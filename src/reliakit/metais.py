@@ -7,9 +7,9 @@ probability splits exactly into two factors:
 
     pf = alpha_corr x pf_epsilon
 
-where pf_epsilon = E[pi(X)] costs only surrogate sweeps, and alpha_corr
-averages 1{g <= 0} / pi over draws of the instrumental density, which is
-where the few true-model calls go.  The product is unbiased conditional on
+where pf_epsilon = E[pi(X)] costs only a surrogate sweep, drawn and summed
+as crude Monte Carlo is, and alpha_corr averages 1{g <= 0} / pi over draws
+of the instrumental density, which is where the few true-model calls go.  The product is unbiased conditional on
 the surrogate, however coarse the surrogate is; the surrogate quality only
 controls the variance.
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .errors import EstimatorError
-from .estimators import _beta, _clean, _cov_of_mean, _mean_cov
+from .estimators import _beta, _clean, _mean_cov, _sweep
 from .kriging import (
     KrigingModel,
     _sample_weighted,
@@ -45,7 +45,6 @@ from .probmodel import RandomVector, make_rng
 
 __all__ = [
     "MetaIsResult",
-    "instrumental_density",
     "estimate_pf_epsilon",
     "sample_instrumental",
     "estimate_alpha_corr",
@@ -98,16 +97,6 @@ class MetaIsResult:
         )
 
 
-def instrumental_density(model: KrigingModel, rv: RandomVector, x) -> np.ndarray:
-    """Unnormalized instrumental density pi(x) * f_X(x) at rows x (n, M).
-
-    The normalizing constant is pf_epsilon, but no consumer ever needs it:
-    the sampler works on the unnormalized target and the estimator divides
-    by pi alone.
-    """
-    return classification_probability(*krig_predict_batch(model, x)) * rv.joint_pdf(x)
-
-
 @one_blas_thread
 def estimate_pf_epsilon(
     model: KrigingModel,
@@ -120,16 +109,9 @@ def estimate_pf_epsilon(
     Surrogate-only Monte Carlo: zero true-model calls.  Returns the
     estimate and its coefficient of variation.
     """
-    if n_eps < 1:
-        raise ValueError("n_eps must be >= 1")
-    parts: list[float] = []
-    parts_sq: list[float] = []
-    for xs in rv.sample_chunks(n_eps, seed=seed):
-        pi = classification_probability(*krig_predict_batch(model, xs))
-        parts.append(float(np.sum(pi)))
-        parts_sq.append(float(np.sum(pi * pi)))
-    mean = math.fsum(parts) / n_eps
-    return mean, _cov_of_mean(mean, math.fsum(parts_sq) / n_eps, n_eps)
+    pi = lambda xs: classification_probability(*krig_predict_batch(model, xs))
+    (mean,), (cov,) = _sweep(rv, pi, n_eps, seed)
+    return mean, cov
 
 
 @one_blas_thread

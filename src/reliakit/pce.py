@@ -31,7 +31,7 @@ from scipy.special import gammaln, roots_genlaguerre, roots_jacobi
 
 from ._blas import one_blas_thread
 from .errors import FitError
-from .estimators import ReliabilityResult, _clean, mc_cov
+from .estimators import ReliabilityResult, _clean, _sweep
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
 from .probmodel import RandomVector, make_rng
 
@@ -47,7 +47,6 @@ __all__ = [
     "PceModel",
     "pce_fit_regression",
     "pce_fit_projection",
-    "pce_loo_error",
     "pce_moments",
     "pce_pf",
     "pce_adaptive",
@@ -419,18 +418,6 @@ def _loo_from_qr(a: np.ndarray, y: np.ndarray, resid: np.ndarray, y_var: float):
     return (0.0 if mse < 1e-24 else math.inf), True
 
 
-def pce_loo_error(
-    rv: RandomVector, basis: PceBasis, design: ExperimentalDesign
-) -> float:
-    """Normalized leave-one-out error of the regression fit on a design.
-
-    Computed exactly from one fit via the hat matrix; no refits.  Infinite
-    when some design point has leverage 1 (LOO undefined there).
-    """
-    model = pce_fit_regression(rv, basis, design)
-    return float(model.diagnostics["loo_error"])
-
-
 @one_blas_thread
 def pce_fit_projection(
     func,
@@ -503,13 +490,7 @@ def pce_pf(
 
     Zero true-model calls: only the fitted expansion is sampled.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    nf = 0
-    for xs in rv.sample_chunks(n, seed=seed):
-        nf += int(np.count_nonzero(model.predict(xs) <= 0.0))
-    pf = nf / n
-    cov = mc_cov(pf, n) if 0.0 < pf < 1.0 else (math.inf if nf == 0 else 0.0)
+    (pf,), (cov,) = _sweep(rv, lambda xs: model.predict(xs) <= 0.0, n, seed)
     return ReliabilityResult(
         pf=pf, cov=cov, n_calls=0, method="pce", extras={"n_surrogate": n}
     )

@@ -38,14 +38,20 @@ _FAMILIES = ("gaussian", "uniform", "lognormal", "gamma", "beta")
 _P_LO = 1e-300
 _P_HI = 1.0 - 1e-16
 
-_SWEEP_BLOCK = 100_000
-
 
 def make_rng(seed) -> np.random.Generator:
     """Return a PCG64 generator; passes through an existing Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _latin_hypercube(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """n points in the unit cube of dimension m, one in each of n equal strata per axis."""
+    u = np.empty((n, m))
+    for j in range(m):
+        u[:, j] = (rng.permutation(n) + rng.random(n)) / n
+    return u
 
 
 @dataclass(frozen=True)
@@ -338,9 +344,7 @@ class RandomVector:
             u = rng.standard_normal((n, m))
             return self.from_standard(u)
         if scheme == "latin_hypercube":
-            p = np.empty((n, m))
-            for j in range(m):
-                p[:, j] = (rng.permutation(n) + rng.random(n)) / n
+            p = _latin_hypercube(rng, n, m)
             if self.is_independent:
                 x = np.empty((n, m))
                 for j, marg in enumerate(self.marginals):
@@ -348,17 +352,6 @@ class RandomVector:
                 return x
             return self.from_standard(ndtri(np.clip(p, _P_LO, _P_HI)))
         raise ValueError(f"unknown sampling scheme {scheme!r}")
-
-    def sample_chunks(self, n: int, seed=None):
-        """Yield n Monte Carlo draws in consecutive blocks of at most 100,000 rows.
-
-        The blocks come from one generator in order, so a given seed always
-        gives the same draws; memory stays bounded by one block whatever n
-        is.
-        """
-        rng = make_rng(seed)
-        for done in range(0, n, _SWEEP_BLOCK):
-            yield self.sample(min(_SWEEP_BLOCK, n - done), scheme="monte_carlo", seed=rng)
 
     def _check_dim(self, pts: np.ndarray):
         if pts.ndim != 2 or pts.shape[1] != self.dimension:

@@ -11,9 +11,10 @@ from reliakit import (
     QuadraticSurface,
     RandomVector,
     basis_for,
+    classification_probability,
     initial_design,
-    instrumental_density,
     krig_build,
+    krig_predict_batch,
     qrs_basis,
 )
 
@@ -34,7 +35,7 @@ def _instrumental_density():
     pts = initial_design(RV, 12, seed=1)
     design = ExperimentalDesign(pts, 4.0 - pts[:, 0] - pts[:, 1])
     model = krig_build(design, "constant", CorrelationKernel((2.0, 2.0)))
-    return lambda x: instrumental_density(model, RV, x)
+    return lambda x: classification_probability(*krig_predict_batch(model, x)) * RV.joint_pdf(x)
 
 
 EVALUATORS = {

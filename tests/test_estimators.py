@@ -9,8 +9,10 @@ from scipy import stats
 
 from reliakit import (
     ConditioningError,
+    CorrelationKernel,
     EstimatorError,
     EvalLedger,
+    ExperimentalDesign,
     InstrumentalDensity,
     IterationError,
     LimitState,
@@ -18,13 +20,22 @@ from reliakit import (
     ModelError,
     RandomVector,
     ReliabilityResult,
+    basis_for,
     benchmark_linear,
     benchmark_waarts,
     cornell_index,
     estimate_is,
     estimate_mc,
+    estimate_pf_epsilon,
+    evaluate_batch,
     form,
+    initial_design,
+    krig_build,
+    krig_pf_bounds,
+    krig_predict_batch,
     mc_cov,
+    pce_fit_regression,
+    pce_pf,
     standard_normal_vector,
 )
 
@@ -96,6 +107,44 @@ class TestMonteCarlo:
         a = estimate_mc(ls, rv, 40_000, seed=7)
         b = estimate_mc(ls, rv, 40_000, seed=7)
         assert a.pf == b.pf and a.cov == b.cov
+
+
+class TestSharedSweep:
+    """Surrogate sweeps draw, sum and take the CoV exactly as crude Monte Carlo does."""
+
+    N = 250_001  # three sweep blocks, the last one partial
+
+    @staticmethod
+    def waarts_design(pts):
+        return ExperimentalDesign(pts, evaluate_batch(benchmark_waarts(), pts))
+
+    def test_pce_pf_is_crude_mc_on_the_expansion(self):
+        rv = standard_normal_vector(2)
+        pts = rv.sample(40, scheme="latin_hypercube", seed=20)
+        model = pce_fit_regression(rv, basis_for(rv, 3), self.waarts_design(pts))
+        sur = pce_pf(model, rv, self.N, seed=21)
+        mc = estimate_mc(model.to_limit_state(), rv, self.N, seed=21)
+        assert 0.0 < sur.pf < 1.0
+        assert (sur.pf, sur.cov) == (mc.pf, mc.cov)
+        # the blocks are one stream: the draws of one unblocked sample
+        nf = int(np.count_nonzero(model.predict(rv.sample(self.N, seed=21)) <= 0.0))
+        assert mc.extras["n_failures"] == nf and type(nf) is type(mc.extras["n_failures"])
+
+    def test_kriging_band_centre_is_crude_mc_on_the_mean(self):
+        rv = standard_normal_vector(2)
+        pts = initial_design(rv, 20, seed=22)
+        model = krig_build(self.waarts_design(pts), "constant", CorrelationKernel((1.5, 1.5)))
+        mean = LimitState(2, vector_evaluator=lambda x: krig_predict_batch(model, x)[0])
+        mid = krig_pf_bounds(model, rv, n=self.N, seed=23)[1]
+        assert 0.0 < mid < 1.0
+        assert mid == estimate_mc(mean, rv, self.N, seed=23).pf
+
+    def test_certain_failure_pf_epsilon_is_exactly_one(self):
+        rv = standard_normal_vector(2)
+        pts = initial_design(rv, 6, seed=0)
+        design = ExperimentalDesign(pts, np.full(6, -2.0))
+        model = krig_build(design, "constant", CorrelationKernel((1.0, 1.0)))
+        assert estimate_pf_epsilon(model, rv, n_eps=self.N, seed=24) == (1.0, 0.0)
 
 
 class TestImportanceSampling:

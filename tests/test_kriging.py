@@ -331,6 +331,12 @@ class TestUncertaintyMeasures:
         assert pi[2] == 0.0
         assert pi[3] == 1.0
 
+    def test_pi_is_a_probability(self):
+        mu = np.linspace(-40.0, 40.0, 161)
+        for sd in (0.0, 1e-300, 0.3, 1e3):
+            pi = classification_probability(mu, np.full_like(mu, sd))
+            assert np.all((pi >= 0.0) & (pi <= 1.0))
+
     def test_pi_monotone_in_mu(self):
         mu = np.linspace(-3, 3, 25)
         vals = classification_probability(mu, np.full_like(mu, 0.7))

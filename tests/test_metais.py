@@ -21,7 +21,6 @@ from reliakit import (
     estimate_pf_epsilon,
     evaluate_batch,
     initial_design,
-    instrumental_density,
     krig_build,
     krig_fit,
     krig_predict_batch,
@@ -48,6 +47,11 @@ def exact_linear_model(rv, beta0=2.0, n=12, seed=1):
     )
 
 
+def instrumental_density(model, rv, x):
+    """Unnormalized instrumental density pi(x) f_X(x) at rows x."""
+    return classification_probability(*krig_predict_batch(model, x)) * rv.joint_pdf(x)
+
+
 def ambiguous_waarts_model(n=25, seed=3):
     ls = benchmark_waarts()
     rv = standard_normal_vector(2)
@@ -56,34 +60,6 @@ def ambiguous_waarts_model(n=25, seed=3):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return krig_fit(design, seed=seed), rv
-
-
-class TestInstrumentalDensity:
-    def test_zero_mean_point_halves_the_pdf(self):
-        model, rv = ambiguous_waarts_model()
-        # manufacture mu == 0 by searching the sign change along an axis
-        lo, hi = 0.0, 6.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if krig_predict_batch(model, np.array([[mid, 0.0]]))[0][0] > 0:
-                lo = mid
-            else:
-                hi = mid
-        x = np.array([[0.5 * (lo + hi), 0.0]])
-        got = instrumental_density(model, rv, x)
-        assert got.shape == (1,)
-        assert got[0] == pytest.approx(0.5 * rv.joint_pdf(x)[0], rel=1e-6)
-
-    def test_certain_regions_reduce_to_indicator_times_pdf(self):
-        rv = standard_normal_vector(2)
-        model = certain_all_fail_model(rv)
-        x = np.array([[0.3, -0.4], [2.0, 1.0]])
-        np.testing.assert_allclose(instrumental_density(model, rv, x), rv.joint_pdf(x), rtol=1e-12)
-
-    def test_nonnegative_everywhere(self):
-        model, rv = ambiguous_waarts_model()
-        x = rv.sample(500, seed=4)
-        assert np.all(instrumental_density(model, rv, x) >= 0.0)
 
 
 class TestPfEpsilon:

@@ -23,7 +23,6 @@ from reliakit import (
     pce_adaptive,
     pce_fit_projection,
     pce_fit_regression,
-    pce_loo_error,
     pce_moments,
     pce_pf,
     physical_to_basis,
@@ -416,6 +415,7 @@ class TestMomentsAndPf:
         model = pce_fit_regression(rv, basis_for(rv, 1), _design_for(rv, ls, 20, 11))
         res = pce_pf(model, rv, 10_000, seed=12)
         assert res.pf == 1.0
+        assert res.cov == 0.0
         assert res.n_calls == 0  # surrogate sweeps are free
 
     def test_pf_linear_matches_normal_tail(self):
@@ -440,7 +440,7 @@ class TestLeaveOneOut:
         rv = standard_normal_vector(2)
         ls = LimitState(2, lambda x: 1.0 + x[0] - 0.3 * x[1])
         basis = basis_for(rv, 1)
-        err = pce_loo_error(rv, basis, _design_for(rv, ls, 30, 17))
+        err = pce_fit_regression(rv, basis, _design_for(rv, ls, 30, 17)).diagnostics["loo_error"]
         assert err < 1e-10
 
     def test_matches_brute_force_refits(self):
@@ -449,7 +449,7 @@ class TestLeaveOneOut:
         ls = benchmark_waarts_like()
         basis = basis_for(rv, 2)
         design = _design_for(rv, ls, 20, 18)
-        fast = pce_loo_error(rv, basis, design)
+        fast = pce_fit_regression(rv, basis, design).diagnostics["loo_error"]
 
         import warnings
 
@@ -475,7 +475,8 @@ class TestLeaveOneOut:
         for _ in range(50):
             x = rv.sample(40, seed=int(rng.integers(1 << 31)))
             y = rng.normal(size=40)
-            vals.append(pce_loo_error(rv, basis, ExperimentalDesign(x, y)))
+            model = pce_fit_regression(rv, basis, ExperimentalDesign(x, y))
+            vals.append(model.diagnostics["loo_error"])
         assert np.mean(vals) == pytest.approx(1.0, rel=0.25)
 
 

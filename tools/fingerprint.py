@@ -21,6 +21,9 @@ change and where it is, and the paths of any other values that differ
   pf_epsilon at n = 2.5e5;
 * the ``reliakit compare`` CSV on ``perfbench/compare_physical.json`` at
   seed 0;
+* the shared Monte Carlo sweep at n = 250,001 (three blocks, the last one
+  partial): pf and CoV of crude MC on four-branch, and of ``pce_pf`` on a
+  degree-3 PCE of the compare problem;
 * FORM and FOSM on the compare problem and on four-branch;
 * ``krig_fit`` on seeded 3-D and 6-D designs at kernel powers 2 and 1.5:
   lengthscales, objective, and the sums of mean and deviation over 1,000
@@ -65,6 +68,7 @@ from reliakit import (  # noqa: E402
     benchmark_linear,
     benchmark_waarts,
     cornell_index,
+    estimate_mc,
     estimate_pf_epsilon,
     evaluate_batch,
     form,
@@ -74,6 +78,8 @@ from reliakit import (  # noqa: E402
     krig_pf_bounds,
     krig_predict_batch,
     metais_estimate,
+    pce_fit_regression,
+    pce_pf,
     physical_to_basis,
     sample_instrumental,
     standard_normal_vector,
@@ -146,6 +152,20 @@ def _compare_csv(spec: dict) -> list[str]:
         out = Path(tmp) / "compare.csv"
         code = cli.main(["compare", "--config", str(cfg), "--seed", "0", "--output", str(out)])
         return [f"exit {code}"] + out.read_text().splitlines()
+
+
+def _sweeps(spec: dict) -> dict:
+    n = 250_001
+    mc = estimate_mc(benchmark_waarts(), standard_normal_vector(2), n, seed=0)
+    ls, rv = cli._build_problem(spec["problem"])
+    basis = basis_for(rv, 3)
+    pts = rv.sample(2 * basis.size, scheme="latin_hypercube", seed=0)
+    model = pce_fit_regression(rv, basis, ExperimentalDesign(pts, evaluate_batch(ls, pts)))
+    pce = pce_pf(model, rv, n, seed=1)
+    return {
+        "mc_four_branch": {"pf": mc.pf, "cov": mc.cov, "n_failures": mc.extras["n_failures"]},
+        "pce_compare": {"pf": pce.pf, "cov": pce.cov},
+    }
 
 
 def _kriging_fits_nd() -> dict:
@@ -305,6 +325,7 @@ def main(argv=None) -> int:
             "metais_seed1": _metais(1),
             "akmcs": _akmcs(),
             "compare_csv": _compare_csv(spec),
+            "sweeps": _sweeps(spec),
             "gradient_compare": _gradient_methods(*cli._build_problem(spec["problem"])),
             "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
             "kriging_fits_nd": _kriging_fits_nd(),
