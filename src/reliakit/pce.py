@@ -33,7 +33,7 @@ from ._blas import one_blas_thread
 from .errors import FitError
 from .estimators import ReliabilityResult, _clean, _sweep
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
-from .probmodel import RandomVector, make_rng
+from .probmodel import RandomVector, make_rng, standard_normal_vector
 
 __all__ = [
     "PolynomialFamily",
@@ -93,44 +93,45 @@ def orthonormal_table(family: PolynomialFamily, degree: int, x) -> np.ndarray:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (degree + 1,))
-    out[..., 0] = 1.0
+    out = np.empty((degree + 1,) + x.shape)  # one contiguous row per degree
+    tab = np.moveaxis(out, 0, -1)  # the x.shape + (degree + 1,) view returned
+    out[0] = 1.0
     kind = family.kind
     if kind == "hermite":
         if degree >= 1:
-            out[..., 1] = x
+            out[1] = x
         for k in range(1, degree):
-            out[..., k + 1] = x * out[..., k] - k * out[..., k - 1]
+            out[k + 1] = x * out[k] - k * out[k - 1]
         ks = np.arange(degree + 1)
-        out /= np.exp(0.5 * gammaln(ks + 1.0))
+        tab /= np.exp(0.5 * gammaln(ks + 1.0))
     elif kind == "legendre":
         if degree >= 1:
-            out[..., 1] = x
+            out[1] = x
         for k in range(1, degree):
-            out[..., k + 1] = ((2 * k + 1) * x * out[..., k] - k * out[..., k - 1]) / (k + 1)
+            out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
         ks = np.arange(degree + 1)
-        out *= np.sqrt(2.0 * ks + 1.0)
+        tab *= np.sqrt(2.0 * ks + 1.0)
     elif kind == "laguerre":
         a = family.alpha
         if degree >= 1:
-            out[..., 1] = 1.0 + a - x
+            out[1] = 1.0 + a - x
         for k in range(1, degree):
-            out[..., k + 1] = (
-                (2 * k + a + 1 - x) * out[..., k] - (k + a) * out[..., k - 1]
+            out[k + 1] = (
+                (2 * k + a + 1 - x) * out[k] - (k + a) * out[k - 1]
             ) / (k + 1)
         ks = np.arange(degree + 1)
         # norm^2 against the gamma(a+1) probability weight: Gamma(k+a+1)/(k! Gamma(a+1))
-        out *= np.exp(0.5 * (gammaln(ks + 1.0) + gammaln(a + 1.0) - gammaln(ks + a + 1.0)))
+        tab *= np.exp(0.5 * (gammaln(ks + 1.0) + gammaln(a + 1.0) - gammaln(ks + a + 1.0)))
     else:  # jacobi
         a, b = family.alpha, family.beta
         if degree >= 1:
-            out[..., 1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+            out[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
         for k in range(2, degree + 1):
             c1 = 2.0 * k * (k + a + b) * (2 * k + a + b - 2)
             c2 = (2 * k + a + b - 1) * (a * a - b * b)
             c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
             c4 = 2.0 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-            out[..., k] = ((c2 + c3 * x) * out[..., k - 1] - c4 * out[..., k - 2]) / c1
+            out[k] = ((c2 + c3 * x) * out[k - 1] - c4 * out[k - 2]) / c1
         # squared norms against the raw weight (1-x)^a (1+x)^b; the k=0 form
         # avoids the Gamma pole at a+b = -1.
         ks = np.arange(1, degree + 1)
@@ -149,8 +150,8 @@ def orthonormal_table(family: PolynomialFamily, degree: int, x) -> np.ndarray:
                 - gammaln(ks + a + b + 1.0)
                 - gammaln(ks + 1.0)
             )
-            out[..., 1:] *= np.exp(0.5 * (ln_h0 - ln_hk))
-    return out
+            tab[..., 1:] *= np.exp(0.5 * (ln_h0 - ln_hk))
+    return tab
 
 
 def gauss_rule(family: PolynomialFamily, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,21 +219,31 @@ class PceBasis:
     def evaluate(self, xi) -> np.ndarray:
         """Basis matrix at basis-space point(s) xi: shape (n, size)."""
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        if xi.shape[1] != self.dimension:
-            raise ValueError(f"expected {self.dimension} columns, got {xi.shape}")
-        max_deg = [max(a[i] for a in self.indices) for i in range(self.dimension)]
-        tables = [
-            orthonormal_table(fam, max_deg[i], xi[:, i])
-            for i, fam in enumerate(self.families)
-        ]
         psi = np.empty((xi.shape[0], self.size))
-        for j, a in enumerate(self.indices):
-            col = tables[0][:, a[0]].copy()
-            for i in range(1, self.dimension):
-                if a[i]:
-                    col *= tables[i][:, a[i]]
-            psi[:, j] = col
+        for j, prod in self._products(xi):
+            psi[:, j] = prod
         return psi
+
+    def _products(self, xi):
+        """Yield (j, Psi_j(xi)) per index, from contiguous (degree + 1, n) tables.
+
+        Indices run in lexicographic order, so each product reuses the prefix
+        it shares with the one before; a zero power is skipped.  The yielded
+        vector is scratch, valid until the next one is asked for.
+        """
+        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+        n, m = xi.shape
+        if m != self.dimension:
+            raise ValueError(f"expected {self.dimension} columns, got {xi.shape}")
+        tables = [orthonormal_table(f, max(a[i] for a in self.indices), xi[:, i]).T
+                  for i, f in enumerate(self.families)]
+        # pre[i + 1] is the product over coordinates 0..i of the current index
+        pre, prev, buf = [np.ones(n)] * (m + 1), (-1,) * m, np.empty((m, n))
+        for a, j in sorted(zip(self.indices, range(self.size))):
+            for i in range(next(i for i in range(m) if a[i] != prev[i]), m):
+                pre[i + 1] = np.multiply(pre[i], tables[i][a[i]], out=buf[i]) if a[i] else pre[i]
+            prev = a
+            yield j, pre[-1]
 
 
 def _basis_map(marg) -> tuple[PolynomialFamily, bool, float, float, float]:
@@ -311,8 +322,14 @@ class PceModel:
             raise ValueError("coefficient count must equal the basis size")
 
     def predict(self, x) -> np.ndarray:
-        """Surrogate response at physical rows x (n, M)."""
-        return self.basis.evaluate(physical_to_basis(self.rv, x)) @ self.coefficients
+        """Surrogate response at physical rows x (n, M), summed term by term in place."""
+        return self._at_basis(physical_to_basis(self.rv, x))
+
+    def _at_basis(self, xi: np.ndarray) -> np.ndarray:
+        out, term = np.zeros(xi.shape[0]), np.empty(xi.shape[0])
+        for j, prod in self.basis._products(xi):
+            out += np.multiply(prod, self.coefficients[j], out=term)
+        return out
 
     def coefficient(self, alpha: tuple[int, ...]) -> float:
         try:
@@ -341,15 +358,6 @@ class PceModel:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _regression_matrices(rv, basis, points):
-    xi = physical_to_basis(rv, points)
-    psi = basis.evaluate(xi)
-    scale = np.linalg.norm(psi, axis=0)
-    if np.any(scale <= 0.0):
-        raise FitError("a basis column vanishes on the design")
-    return psi, psi / scale, scale
-
-
 @one_blas_thread
 def pce_fit_regression(
     rv: RandomVector,
@@ -373,7 +381,11 @@ def pce_fit_regression(
             "the fit may be unstable",
             RuntimeWarning,
         )
-    psi, psi_eq, scale = _regression_matrices(rv, basis, pts)
+    psi = basis.evaluate(physical_to_basis(rv, pts))
+    scale = np.linalg.norm(psi, axis=0)
+    if np.any(scale <= 0.0):
+        raise FitError("a basis column vanishes on the design")
+    psi_eq = psi / scale
     coef_eq, _, rank, sv = np.linalg.lstsq(psi_eq, y, rcond=None)
     if rank < p:
         raise FitError(
@@ -443,17 +455,15 @@ def pce_fit_projection(
     rules = [gauss_rule(fam, quad_level) for fam in basis.families]
     grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
     xi = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    w = np.ones(xi.shape[0])
-    for g in wgrids:
-        w *= g.ravel()
+    w = np.prod([g.ravel() for g in np.meshgrid(*[r[1] for r in rules], indexing="ij")], axis=0)
     x = basis_to_physical(rv, xi)
     if isinstance(func, LimitState):
         vals = evaluate_batch(func, x, ledger=ledger)
     else:
         vals = np.asarray(func(x), dtype=float).reshape(xi.shape[0])
-    psi = basis.evaluate(xi)
-    coef = psi.T @ (w * vals)
+    wg, coef = w * vals, np.empty(basis.size)
+    for j, prod in basis._products(xi):
+        coef[j] = prod @ wg
     return PceModel(
         basis=basis,
         coefficients=coef,
@@ -488,9 +498,14 @@ def pce_pf(
 ) -> ReliabilityResult:
     """Failure probability of the surrogate by crude Monte Carlo.
 
-    Zero true-model calls: only the fitted expansion is sampled.
+    Zero true-model calls: only the fitted expansion is sampled.  Under a
+    correlation the basis lives in the standard-normal germ u, so (for the
+    model's own ``rv``) the sweep predicts at each drawn u rather than at x(u).
     """
-    (pf,), (cov,) = _sweep(rv, lambda xs: model.predict(xs) <= 0.0, n, seed)
+    g = model.predict
+    if not rv.is_independent and rv.to_dict() == model.rv.to_dict():
+        rv, g = standard_normal_vector(rv.dimension), model._at_basis
+    (pf,), (cov,) = _sweep(rv, lambda xs: g(xs) <= 0.0, n, seed)
     return ReliabilityResult(
         pf=pf, cov=cov, n_calls=0, method="pce", extras={"n_surrogate": n}
     )

@@ -12,6 +12,7 @@ from reliakit import (
     LimitState,
     Marginal,
     PceBasis,
+    PceModel,
     PolynomialFamily,
     RandomVector,
     basis_for,
@@ -271,6 +272,25 @@ class TestBasisMaps:
         assert np.all(xi[:, 3] > 0.0)  # laguerre
 
 
+class TestBasisFreeSum:
+    """predict sums the expansion term by term; the basis matrix is the oracle."""
+
+    @pytest.mark.parametrize(
+        "degree, rows", [(4, 500), (0, 50), (4, 1)], ids=["degree4", "degree0", "one-row"]
+    )
+    def test_predict_matches_basis_matrix(self, degree, rows):
+        rv = RandomVector(TestBasisMaps.MARGINALS)  # all five marginal families
+        basis = basis_for(rv, degree)
+        coef = np.random.default_rng(degree).normal(size=basis.size)
+        model = PceModel(basis, coef, rv)
+        x = rv.sample(rows, seed=8)
+        want = basis.evaluate(physical_to_basis(rv, x)) @ coef
+        got = model.predict(x)
+        assert got.shape == (rows,)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
 def _design_for(rv, ls, n, seed):
     x = rv.sample(n, scheme="latin_hypercube", seed=seed)
     return ExperimentalDesign(x, evaluate_batch(ls, x))
@@ -345,6 +365,31 @@ class TestProjection:
         proj = pce_fit_projection(ls, rv, basis, quad_level=8)
         reg = pce_fit_regression(rv, basis, _design_for(rv, ls, 120, 5))
         np.testing.assert_allclose(proj.coefficients, reg.coefficients, atol=2e-5)
+
+    def test_matches_basis_matrix_oracle(self):
+        # four families, degree 6: the term-by-term projection against the
+        # weighted basis matrix on the same 7^4 tensor grid
+        rv = RandomVector(
+            (
+                Marginal.gaussian(1.0, 0.5),
+                Marginal.uniform(-1.0, 3.0),
+                Marginal.gamma(3.0, 0.5),
+                Marginal.beta(2.0, 5.0, 1.0, 4.0),
+            )
+        )
+        basis = basis_for(rv, 6)
+
+        def func(x):
+            return np.exp(0.3 * x[:, 0]) + np.sin(x[:, 1]) * x[:, 2] - x[:, 3] ** 2
+
+        model = pce_fit_projection(func, rv, basis, quad_level=7)
+        rules = [gauss_rule(fam, 7) for fam in basis.families]
+        nodes = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+        weights = np.meshgrid(*[r[1] for r in rules], indexing="ij")
+        xi = np.column_stack([g.ravel() for g in nodes])
+        w = np.prod([g.ravel() for g in weights], axis=0)
+        want = basis.evaluate(xi).T @ (w * func(basis_to_physical(rv, xi)))
+        np.testing.assert_allclose(model.coefficients, want, rtol=0.0, atol=1e-12)
 
     def test_zero_function_gives_zero_coefficients(self):
         rv = standard_normal_vector(2)
@@ -433,6 +478,53 @@ class TestMomentsAndPf:
         small = pce_pf(model, rv, 50_000, seed=16)
         large = pce_pf(model, rv, 200_000, seed=16)
         assert large.cov == pytest.approx(small.cov / 2.0, rel=0.15)
+
+
+class TestGermSweep:
+    """Under a correlation pce_pf predicts at the drawn standard-normal germ."""
+
+    N = 250_001  # three sweep blocks, the last one partial
+
+    @staticmethod
+    def compare_problem():
+        # the inputs of the benchmark's compare problem: g = x1 x2 - x3 - x4
+        corr = np.eye(4)
+        corr[0, 3] = corr[3, 0] = 0.3
+        rv = RandomVector(
+            (
+                Marginal.lognormal(2.7, 0.1),
+                Marginal.beta(8.0, 2.0, 0.0, 1.0),
+                Marginal.gamma(4.0, 0.5),
+                Marginal.gaussian(2.0, 0.5),
+            ),
+            corr,
+        )
+        ls = LimitState(4, vector_evaluator=lambda x: x[:, 0] * x[:, 1] - x[:, 2] - x[:, 3])
+        return rv, pce_fit_regression(rv, basis_for(rv, 3), _design_for(rv, ls, 70, 17))
+
+    def test_pf_is_a_count_over_the_standard_normal_stream(self, monkeypatch):
+        rv, model = self.compare_problem()
+        assert not rv.is_independent
+        with monkeypatch.context() as mp:  # no map from x back to the germ
+            mp.setattr(RandomVector, "to_standard", None)
+            res = pce_pf(model, rv, self.N, seed=18)
+        u = np.random.default_rng(18).standard_normal((self.N, 4))
+        g = np.concatenate(
+            [model.basis.evaluate(b) @ model.coefficients for b in np.array_split(u, 3)]
+        )
+        nf = int(np.count_nonzero(g <= 0.0))
+        assert 0 < nf < self.N
+        assert res.pf == nf / self.N
+        # the same rows as the physical draws they are mapped to
+        x = rv.sample(self.N, seed=18)
+        assert nf == np.count_nonzero(model.predict(x) <= 0.0)
+
+    def test_germ_predictions_match_physical_round_trip(self):
+        rv, model = self.compare_problem()
+        u = np.random.default_rng(19).standard_normal((10_000, 4))
+        want = model.predict(rv.from_standard(u))
+        got = model._at_basis(u)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
 class TestLeaveOneOut:

@@ -30,6 +30,10 @@ change and where it is, and the paths of any other values that differ
   predicted rows;
 * both PCE maps (physical to basis and back) on a vector with all five
   marginal families, independent and correlated;
+* PCE predictions: the sum and the sum of squares of 1,000 predictions of
+  a degree-4 expansion on that five-family independent vector, and
+  ``pce_pf`` of a degree-6 expansion of the compare problem (correlated, so
+  swept in standard normal space) at n = 250,001;
 * 50 instrumental draws, with the sampler record, for two targets so rare
   that lock-step chains supply the draws: an exact linear surrogate at
   beta = 4.5 in standard normal space (one chain, with burn-in), and a
@@ -158,10 +162,7 @@ def _sweeps(spec: dict) -> dict:
     n = 250_001
     mc = estimate_mc(benchmark_waarts(), standard_normal_vector(2), n, seed=0)
     ls, rv = cli._build_problem(spec["problem"])
-    basis = basis_for(rv, 3)
-    pts = rv.sample(2 * basis.size, scheme="latin_hypercube", seed=0)
-    model = pce_fit_regression(rv, basis, ExperimentalDesign(pts, evaluate_batch(ls, pts)))
-    pce = pce_pf(model, rv, n, seed=1)
+    pce = pce_pf(_fitted_pce(rv, 3, lambda x: evaluate_batch(ls, x)), rv, n, seed=1)
     return {
         "mc_four_branch": {"pf": mc.pf, "cov": mc.cov, "n_failures": mc.extras["n_failures"]},
         "pce_compare": {"pf": pce.pf, "cov": pce.cov},
@@ -187,19 +188,22 @@ def _kriging_fits_nd() -> dict:
     return out
 
 
+_FIVE_MARGINALS = (
+    Marginal.gaussian(1.0, 2.0),
+    Marginal.uniform(-1.0, 3.0),
+    Marginal.lognormal(0.5, 0.2),
+    Marginal.gamma(3.0, 0.5),
+    Marginal.beta(2.0, 5.0, 1.0, 4.0),
+)
+
+
 def _pce_maps() -> dict:
-    margs = (
-        Marginal.gaussian(1.0, 2.0),
-        Marginal.uniform(-1.0, 3.0),
-        Marginal.lognormal(0.5, 0.2),
-        Marginal.gamma(3.0, 0.5),
-        Marginal.beta(2.0, 5.0, 1.0, 4.0),
-    )
     corr = np.eye(5)
     corr[0, 3] = corr[3, 0] = 0.4
     corr[1, 4] = corr[4, 1] = -0.3
     out = {}
-    for label, rv in (("independent", RandomVector(margs)), ("correlated", RandomVector(margs, corr))):
+    for label, rv in (("independent", RandomVector(_FIVE_MARGINALS)),
+                      ("correlated", RandomVector(_FIVE_MARGINALS, corr))):
         x = rv.sample(40, seed=3)
         xi = physical_to_basis(rv, x)
         out[label] = {
@@ -209,6 +213,24 @@ def _pce_maps() -> dict:
             "single_point": basis_to_physical(rv, physical_to_basis(rv, x[:1])),
         }
     return out
+
+
+def _fitted_pce(rv, degree, response):
+    basis = basis_for(rv, degree)
+    pts = rv.sample(2 * basis.size, scheme="latin_hypercube", seed=0)
+    return pce_fit_regression(rv, basis, ExperimentalDesign(pts, response(pts)))
+
+
+def _pce_predict(spec: dict) -> dict:
+    rv = RandomVector(_FIVE_MARGINALS)
+    model = _fitted_pce(rv, 4, lambda x: x[:, 0] * x[:, 1] - x[:, 3] + np.sin(x[:, 2]) * x[:, 4])
+    y = model.predict(rv.sample(1000, seed=4))
+    ls, rv_c = cli._build_problem(spec["problem"])
+    pce = pce_pf(_fitted_pce(rv_c, 6, lambda x: evaluate_batch(ls, x)), rv_c, 250_001, seed=2)
+    return {
+        "mixed_degree4": {"sum": np.sum(y), "sum_sq": np.sum(y * y)},
+        "compare_degree6_pf": {"pf": pce.pf, "cov": pce.cov},
+    }
 
 
 def _squared_exponential(theta) -> CorrelationKernel:
@@ -330,6 +352,7 @@ def main(argv=None) -> int:
             "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
             "kriging_fits_nd": _kriging_fits_nd(),
             "pce_maps": _pce_maps(),
+            "pce_predict": _pce_predict(spec),
             "rare_instrumental": _rare_instrumental(),
         }
     json.dump(_hex(doc), sys.stdout, indent=1, sort_keys=True)
