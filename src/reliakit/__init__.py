@@ -16,6 +16,7 @@ from .errors import (
     IterationError,
     MarginCollapsed,
     ModelError,
+    ReliakitError,
     SamplerError,
 )
 from .estimators import (

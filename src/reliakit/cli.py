@@ -21,16 +21,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from ._blas import one_blas_thread
-from .errors import (
-    ConditioningError,
-    DomainError,
-    EstimatorError,
-    FitError,
-    IterationError,
-    MarginCollapsed,
-    ModelError,
-    SamplerError,
-)
+from .errors import ReliakitError
 from .estimators import (
     InstrumentalDensity,
     ReliabilityResult,
@@ -61,19 +52,7 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (
-    ConditioningError,
-    DomainError,
-    EstimatorError,
-    FitError,
-    IterationError,
-    MarginCollapsed,
-    ModelError,
-    SamplerError,
-    np.linalg.LinAlgError,
-    OverflowError,
-    FloatingPointError,
-)
+_NUMERICAL_ERRORS = (ReliakitError, np.linalg.LinAlgError, OverflowError, FloatingPointError)
 
 _MARGINAL_SCHEMA = {
     "type": "object",

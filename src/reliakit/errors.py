@@ -1,23 +1,27 @@
 """Exception taxonomy shared across the package."""
 
 
-class DomainError(ValueError):
+class ReliakitError(Exception):
+    """Base of every reliakit exception; the CLI maps it to exit code 3."""
+
+
+class DomainError(ReliakitError, ValueError):
     """A point lies outside the support of a probabilistic model."""
 
 
-class ModelError(ValueError):
+class ModelError(ReliakitError, ValueError):
     """An invalid or inconsistent model definition."""
 
 
-class FitError(RuntimeError):
+class FitError(ReliakitError, RuntimeError):
     """A surrogate fit failed (rank deficiency, ill conditioning, ...)."""
 
 
-class ConditioningError(RuntimeError):
+class ConditioningError(ReliakitError, RuntimeError):
     """A linear-algebra factorization failed beyond recoverable regularization."""
 
 
-class IterationError(RuntimeError):
+class IterationError(ReliakitError, RuntimeError):
     """An iterative search did not converge within its iteration budget.
 
     Carries the last iterate so callers can inspect or restart.
@@ -28,15 +32,15 @@ class IterationError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-class EstimatorError(RuntimeError):
+class EstimatorError(ReliakitError, RuntimeError):
     """An estimator hit an undefined configuration (e.g. zero instrumental density)."""
 
 
-class SamplerError(RuntimeError):
-    """An MCMC sampler could not locate or explore the target support."""
+class SamplerError(ReliakitError, RuntimeError):
+    """The instrumental sampler found no point of the target support to start from."""
 
 
-class MarginCollapsed(Exception):
+class MarginCollapsed(ReliakitError):
     """Signal: the surrogate margin of uncertainty has vanished.
 
     Raised by margin-based enrichment when no candidate has appreciable

@@ -23,12 +23,6 @@ strategy judge the predictions and pick new points, and stops on the
 strategy's criterion or the call budget, with every true-model call counted.
 The pf band of the +-k sigma margin averages three indicators over the
 Monte Carlo sweep that crude Monte Carlo and every surrogate pf share.
-
-The meta-IS instrumental density w(x) f_X(x), with 0 <= w <= 1 set by the
-surrogate, is sampled exactly: batches of input draws are predicted at once
-and each row is kept with probability w.  A target too rare for that (more
-than 3,000 proposals per draw and input dimension) is finished by a
-population of lock-step chains, predicted in one batch per step.
 """
 
 from __future__ import annotations
@@ -45,10 +39,9 @@ from scipy.optimize import minimize
 from scipy.special import ndtr
 
 from ._blas import one_blas_thread
-from .errors import ConditioningError, FitError, MarginCollapsed, SamplerError
+from .errors import ConditioningError, FitError, MarginCollapsed
 from .estimators import _sweep
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
-from .mcmc import pcn_sample
 from .probmodel import RandomVector, _latin_hypercube, make_rng
 
 __all__ = [
@@ -411,83 +404,6 @@ def _most_uncertain(u: np.ndarray, sd: np.ndarray) -> int:
     """Row with the smallest U; exact ties go to the larger sd, then the lowest row."""
     tied = np.flatnonzero(u == u.min())
     return int(tied[np.argmax(sd[tied])])
-
-
-# Past this many proposals per accepted draw and per input dimension,
-# rejection gives way to chains.  A chain draw (40 lock-step steps) costs
-# 2,200-3,300 proposals per dimension for one chain in 2-D and 540-620 in
-# 6-D, 230-350 and 62-69 for ten chains (CPU time, one BLAS thread, exact
-# linear surrogates at beta = 4.5 on 12- and 18-point designs).  Rejection
-# keeps the draws i.i.d., so their CoV is honest, and is kept longer.
-_PROPOSALS_PER_DRAW_PER_DIM = 3_000
-
-
-def _sample_weighted(model: KrigingModel, rv: RandomVector, weight, n, rng):
-    """Draw n points from the density proportional to w(x) f_X(x), w set by the surrogate.
-
-    ``weight(mu, sd)`` maps arrays of predictions to w in [0, 1].  First the
-    design and 512 input draws (the probe) are weighed; :class:`SamplerError`
-    is raised when none reaches 1e-12.  Then inputs are drawn from f_X in
-    batches of 20,000 and each is accepted with probability w, which is
-    exact i.i.d. sampling because w <= 1; the first n accepted rows are
-    returned in draw order.
-
-    Once more than 3,000 · d proposals per accepted row have been spent
-    (d the input dimension; a target mass below about 1.7e-4 in 2-D),
-    the rows accepted so far are kept and the missing ones come from
-    lock-step chains in standard normal coordinates, one started at each
-    accepted row (``mcmc.pcn_sample``).  Those draws are exact in
-    distribution but correlated.  When no row was accepted, a single chain
-    with burn-in starts at the design or probe point with the largest w
-    (the design winning ties); it may stay in one mode of a multimodal target.
-
-    Everything draws from ``rng``.  Returns the draws in physical
-    coordinates and a record: the ``sampler`` used ("rejection" or
-    "chain"), ``n_proposals`` and ``acceptance`` of the rejection stage,
-    and for "chain" ``n_chains``, ``n_steps`` and ``move_rate``.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pts = model.design.points
-    w_d = weight(*krig_predict_batch(model, pts))
-    probe = rv.sample(512, scheme="monte_carlo", seed=rng)
-    w_p = weight(*krig_predict_batch(model, probe))
-    best_d, best_p = float(np.max(w_d)), float(np.max(w_p))
-    if max(best_d, best_p) < 1e-12:
-        raise SamplerError(
-            "no design or probe point carries appreciable weight; "
-            "the target density has no reachable support"
-        )
-
-    kept: list[np.ndarray] = []
-    accepted = drawn = 0
-    limit = _PROPOSALS_PER_DRAW_PER_DIM * rv.dimension
-    while accepted < n and drawn <= limit * max(accepted, 1):
-        xs = rv.sample(_BATCH, scheme="monte_carlo", seed=rng)
-        w = weight(*krig_predict_batch(model, xs))
-        hit = xs[rng.random(_BATCH) < w]
-        kept.append(hit)
-        accepted += hit.shape[0]
-        drawn += _BATCH
-    record = {"n_proposals": drawn, "acceptance": accepted / drawn}
-    if accepted >= n:
-        return np.concatenate(kept)[:n], {"sampler": "rejection", **record}
-
-    missing = n - accepted
-    if accepted:
-        # A chain started at an exact draw stays exactly distributed, so it
-        # needs no burn-in and its draws are unbiased, though correlated.
-        starts, burn = np.concatenate(kept)[:missing], 0.0
-    else:
-        best = pts[int(np.argmax(w_d))] if best_d >= best_p else probe[int(np.argmax(w_p))]
-        starts, burn = best[None, :], 0.2
-
-    def w_standard(u):
-        return weight(*krig_predict_batch(model, rv.from_standard(u)))
-
-    us, chains = pcn_sample(w_standard, rv.to_standard(starts), missing, rng, burn)
-    kept.append(rv.from_standard(us))
-    return np.concatenate(kept), {"sampler": "chain", **record, **chains}
 
 
 def enrich_margin(model: KrigingModel, draws, n_clusters: int = 4, seed=None) -> np.ndarray:

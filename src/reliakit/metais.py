@@ -1,4 +1,4 @@
-"""Importance sampling driven by a probabilistic surrogate.
+"""Importance sampling driven by a probabilistic surrogate (meta-IS).
 
 Instead of substituting the surrogate for the true model, the surrogate's
 classification probability pi(x) = P[response at x <= 0] shapes an
@@ -9,18 +9,20 @@ probability splits exactly into two factors:
 
 where pf_epsilon = E[pi(X)] costs only a surrogate sweep, drawn and summed
 as crude Monte Carlo is, and alpha_corr averages 1{g <= 0} / pi over draws
-of the instrumental density, which is where the few true-model calls go.  The product is unbiased conditional on
-the surrogate, however coarse the surrogate is; the surrogate quality only
-controls the variance.
+of the instrumental density, which is where the few true-model calls go.
+The product is unbiased conditional on the surrogate, however coarse the
+surrogate is; the surrogate quality only controls the variance.
 
-Since 0 <= pi <= 1, the instrumental density is sampled exactly by
-rejection: inputs drawn from f_X are kept with probability pi, so the
-correction draws are i.i.d. and the coefficient of variation of
-alpha_corr is exact.  Past 3,000 proposals per draw and input dimension
-(in 2-D, below a pf_epsilon of about 1.7e-4), lock-step chains supply the
-rest.  Chains started at draws already accepted stay unbiased, but their
-draws are correlated, so the reported coefficient of variation is then
-optimistic.
+:func:`metais_estimate` composes the stages: the kriging DoE, the
+pf_epsilon sweep, the instrumental sampler and the correction batch.
+Since 0 <= pi <= 1, :func:`sample_instrumental` draws the instrumental
+density exactly by rejection: inputs drawn from f_X are kept with
+probability pi, so the correction draws are i.i.d. and the coefficient
+of variation of alpha_corr is exact.  Past 3,000 proposals per draw and
+input dimension (in 2-D, below a pf_epsilon of about 1.7e-4), lock-step
+chains supply the rest.  Chains started at draws already accepted stay
+unbiased, but their draws are correlated, so the reported coefficient of
+variation is then optimistic.
 """
 
 from __future__ import annotations
@@ -31,16 +33,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import EstimatorError
+from .errors import EstimatorError, SamplerError
 from .estimators import _beta, _clean, _mean_cov, _sweep
 from .kriging import (
+    _BATCH,
     KrigingModel,
-    _sample_weighted,
     adaptive_margin_design,
     classification_probability,
     krig_predict_batch,
 )
 from .limitstate import EvalLedger, LimitState, evaluate_batch
+from .mcmc import pcn_sample
 from .probmodel import RandomVector, make_rng
 
 __all__ = [
@@ -114,23 +117,83 @@ def estimate_pf_epsilon(
     return mean, cov
 
 
+# Past this many proposals per accepted draw and per input dimension,
+# rejection gives way to chains.  A chain draw (40 lock-step steps) costs
+# 2,200-3,300 proposals per dimension for one chain in 2-D and 540-620 in
+# 6-D, 230-350 and 62-69 for ten chains (CPU time, one BLAS thread, exact
+# linear surrogates at beta = 4.5 on 12- and 18-point designs).  Rejection
+# keeps the draws i.i.d., so their CoV is honest, and is kept longer.
+_PROPOSALS_PER_DRAW_PER_DIM = 3_000
+
+
 @one_blas_thread
 def sample_instrumental(model: KrigingModel, rv: RandomVector, n: int, seed=None):
     """Draw n points from the instrumental density pi(x) f_X(x), with the sampler's record.
 
-    Inputs are drawn from f_X in batches and kept with probability pi, so
-    the draws are i.i.d.; the expected number of proposals is
-    n / pf_epsilon.  Once more than 3,000 proposals per accepted draw and
-    input dimension have been spent, lock-step chains in standard normal
-    coordinates, started at the accepted draws (at the design or probe
-    point with the largest pi when there is none), supply the draws still
-    missing.  :class:`SamplerError` is raised when no design or probe point
-    has pi >= 1e-12, ``ValueError`` when n < 1.  Draws are deterministic
-    per seed.  The record names the ``sampler`` used ("rejection" or "chain")
-    with its ``n_proposals`` and ``acceptance``, plus ``n_chains``,
-    ``n_steps`` and ``move_rate`` for "chain".
+    First the design and 512 input draws (the probe) are weighed by pi;
+    :class:`SamplerError` is raised when none reaches 1e-12, ``ValueError``
+    when n < 1.  Then inputs are drawn from f_X in batches of 20,000 and
+    each is kept with probability pi, which is exact i.i.d. sampling
+    because pi <= 1; the first n kept rows are returned in draw order.  The
+    expected number of proposals is n / pf_epsilon.
+
+    Once more than 3,000 · d proposals per kept row have been spent (d the
+    input dimension; a pf_epsilon below about 1.7e-4 in 2-D), the rows kept
+    so far stay and the missing ones come from lock-step chains in standard
+    normal coordinates, one started at each kept row
+    (:func:`~reliakit.mcmc.pcn_sample`).  Those draws are exact in
+    distribution but correlated.  When no row was kept, a single chain with
+    burn-in starts at the design or probe point with the largest pi (the
+    design winning ties); it may stay in one mode of a multimodal target.
+
+    Draws are deterministic per seed.  The record names the ``sampler``
+    used ("rejection" or "chain") with the ``n_proposals`` and
+    ``acceptance`` of the rejection stage, plus ``n_chains``, ``n_steps``
+    and ``move_rate`` for "chain".
     """
-    return _sample_weighted(model, rv, classification_probability, n, make_rng(seed))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = make_rng(seed)
+
+    def pi(xs):
+        return classification_probability(*krig_predict_batch(model, xs))
+
+    pts = model.design.points
+    w_d = pi(pts)
+    probe = rv.sample(512, scheme="monte_carlo", seed=rng)
+    w_p = pi(probe)
+    best_d, best_p = float(np.max(w_d)), float(np.max(w_p))
+    if max(best_d, best_p) < 1e-12:
+        raise SamplerError(
+            "no design or probe point carries appreciable weight; "
+            "the target density has no reachable support"
+        )
+
+    kept: list[np.ndarray] = []
+    accepted = drawn = 0
+    limit = _PROPOSALS_PER_DRAW_PER_DIM * rv.dimension
+    while accepted < n and drawn <= limit * max(accepted, 1):
+        xs = rv.sample(_BATCH, scheme="monte_carlo", seed=rng)
+        hit = xs[rng.random(_BATCH) < pi(xs)]
+        kept.append(hit)
+        accepted += hit.shape[0]
+        drawn += _BATCH
+    record = {"n_proposals": drawn, "acceptance": accepted / drawn}
+    if accepted >= n:
+        return np.concatenate(kept)[:n], {"sampler": "rejection", **record}
+
+    missing = n - accepted
+    if accepted:
+        # A chain started at an exact draw stays exactly distributed, so it
+        # needs no burn-in and its draws are unbiased, though correlated.
+        starts, burn = np.concatenate(kept)[:missing], 0.0
+    else:
+        best = pts[int(np.argmax(w_d))] if best_d >= best_p else probe[int(np.argmax(w_p))]
+        starts, burn = best[None, :], 0.2
+    w_standard = lambda u: pi(rv.from_standard(u))
+    us, chains = pcn_sample(w_standard, rv.to_standard(starts), missing, rng, burn)
+    kept.append(rv.from_standard(us))
+    return np.concatenate(kept), {"sampler": "chain", **record, **chains}
 
 
 @one_blas_thread
@@ -168,28 +231,20 @@ def metais_estimate(
     rv: RandomVector,
     n_epsilon: int = 100_000,
     n_corr: int = 200,
-    k: float = 1.96,
-    n_clusters: int = 4,
-    tol: float = 0.10,
-    budget: int = 100,
-    n_bounds: int = 50_000,
-    n_chain: int = 250,
-    trend: str = "constant",
     model: KrigingModel | None = None,
     seed=None,
     ledger: EvalLedger | None = None,
+    **options,
 ) -> MetaIsResult:
     """Full pipeline: build or accept a surrogate, then the two-factor estimate.
 
-    With ``model=None`` a surrogate is trained by margin-sampling
-    enrichment until its failure-probability band is tighter than ``tol``
-    (or the DoE budget runs out).  A supplied ``model`` is used as-is,
-    which preserves unbiasedness: the surrogate only shapes the
-    instrumental density, it never replaces the true model.  ``n_bounds``
-    sizes the enrichment's one input pool, ``n_chain`` caps the margin draws
-    clustered per step (see :func:`adaptive_margin_design`).  The sampler
-    record of the correction draws (see :func:`sample_instrumental`) is
-    returned under ``extras["sampler_stats"]``.
+    With ``model=None`` the surrogate is trained by
+    :func:`adaptive_margin_design`, which takes the DoE ``options`` and
+    their defaults; with a ``model`` they raise ``TypeError`` before any
+    model call.  A supplied ``model`` is used as-is, which preserves
+    unbiasedness: the surrogate only shapes the instrumental density, it
+    never replaces the true model.  The sampler record of the correction
+    draws (see :func:`sample_instrumental`) is in ``extras["sampler_stats"]``.
 
     The three stages (enrichment, normalization sweep, correction
     sampling) draw from independently spawned random streams, so the two
@@ -197,23 +252,13 @@ def metais_estimate(
     variation add.  The sweep does not reuse the enrichment's pool, whose
     rows chose the design and so are not independent of the surrogate.
     """
+    if model is not None and options:
+        raise TypeError(f"DoE options {sorted(options)} have no effect with a prebuilt model")
     rng = make_rng(seed)
     s_doe, s_eps, s_chain = rng.spawn(3)
     extras: dict = {}
     if model is None:
-        doe = adaptive_margin_design(
-            ls,
-            rv,
-            k=k,
-            n_clusters=n_clusters,
-            tol=tol,
-            budget=budget,
-            n_bounds=n_bounds,
-            n_chain=n_chain,
-            trend=trend,
-            seed=s_doe,
-            ledger=ledger,
-        )
+        doe = adaptive_margin_design(ls, rv, seed=s_doe, ledger=ledger, **options)
         model = doe.model
         n_doe = doe.n_calls
         converged = doe.converged

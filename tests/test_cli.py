@@ -457,6 +457,53 @@ class TestCompare:
         assert rows[0]["pf"] != rows[1]["pf"]
 
 
+LIBRARY_ERRORS = [
+    cls
+    for cls in vars(reliakit.errors).values()
+    if isinstance(cls, type) and cls.__module__ == "reliakit.errors"
+]
+
+
+class TestExitCodes:
+    def raise_from_run_method(self, monkeypatch, exc):
+        def run_method(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(reliakit.cli, "_run_method", run_method)
+
+    def test_every_library_error_derives_from_the_base(self):
+        assert len(LIBRARY_ERRORS) > 1
+        for cls in LIBRARY_ERRORS:
+            assert issubclass(cls, reliakit.ReliakitError), cls.__name__
+
+    @pytest.mark.parametrize("cls", LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
+    def test_library_error_exits_three_and_fails_its_compare_row(
+        self, tmp_path, monkeypatch, cls
+    ):
+        self.raise_from_run_method(monkeypatch, cls("injected"))
+        cfg = write_config(tmp_path, linear_mc_config(str(tmp_path / "res.json")))
+        assert main(["run", "--config", cfg]) == 3
+        out = str(tmp_path / "cmp.csv")
+        cmp_cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"benchmark": "linear", "beta0": 2.0, "dimension": 2},
+                "methods": [{"name": "mc", "n": 1000}],
+                "seed": 0,
+                "output": {"path": out, "format": "csv"},
+            },
+            "cmp.json",
+        )
+        assert main(["compare", "--config", cmp_cfg]) == 3
+        rows = list(csv.DictReader(open(out)))
+        assert [r["status"] for r in rows] == ["failed"]
+
+    def test_config_error_still_exits_two(self, tmp_path, monkeypatch):
+        self.raise_from_run_method(monkeypatch, reliakit.cli.ConfigError("injected"))
+        cfg = write_config(tmp_path, linear_mc_config(str(tmp_path / "res.json")))
+        assert main(["run", "--config", cfg]) == 2
+
+
 class TestEnvironment:
     def test_output_dir_env_applies_to_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RELIAKIT_OUTPUT_DIR", str(tmp_path / "outs"))

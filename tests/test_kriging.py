@@ -590,7 +590,6 @@ class TestAdaptiveDrivers:
             raise AssertionError("the margin design sampled or swept outside its pool")
 
         monkeypatch.setattr(kriging, "_predict_arrays", counted)
-        monkeypatch.setattr(kriging, "_sample_weighted", forbidden)
         monkeypatch.setattr(kriging, "krig_pf_bounds", forbidden)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

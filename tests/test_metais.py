@@ -176,12 +176,12 @@ class TestSampler:
         # with the switch forced after one batch, the rejection rows come
         # first, exactly as rejection alone draws them, and the chain adds
         # the rest
-        from reliakit import kriging
+        from reliakit import metais
 
         rv = standard_normal_vector(2)
         model = exact_linear_model(rv, beta0=2.0)
         alone, _ = sample_instrumental(model, rv, 1000, seed=32)
-        monkeypatch.setattr(kriging, "_PROPOSALS_PER_DRAW_PER_DIM", 1)
+        monkeypatch.setattr(metais, "_PROPOSALS_PER_DRAW_PER_DIM", 1)
         xs, info = sample_instrumental(model, rv, 1000, seed=32)
         kept = round(info["acceptance"] * info["n_proposals"])
         assert info["sampler"] == "chain"
@@ -194,18 +194,17 @@ class TestSampler:
     def test_fallback_chains_keep_the_mode_weights(self, monkeypatch):
         # w = 1{|x1| > 2.5} has two equal modes that no chain crosses;
         # chains started at the accepted rows still split their draws evenly
-        from reliakit import kriging
+        from reliakit import metais
 
         rv = standard_normal_vector(2)
         model = exact_linear_model(rv, beta0=2.0)  # mean 2 - x1
-        monkeypatch.setattr(kriging, "_PROPOSALS_PER_DRAW_PER_DIM", 1)
-        xs, info = kriging._sample_weighted(
-            model,
-            rv,
+        monkeypatch.setattr(metais, "_PROPOSALS_PER_DRAW_PER_DIM", 1)
+        monkeypatch.setattr(
+            metais,
+            "classification_probability",
             lambda mu, sd: (np.abs(mu - 2.0) > 2.5).astype(float),
-            2000,
-            np.random.default_rng(34),
         )
+        xs, info = sample_instrumental(model, rv, 2000, seed=np.random.default_rng(34))
         assert info["sampler"] == "chain"
         assert info["acceptance"] * info["n_proposals"] < 500
         assert np.all(np.abs(xs[:, 0]) > 2.5)
@@ -320,6 +319,24 @@ class TestFullEstimate:
         assert ledger.count == 50
         assert res.extras.get("prebuilt_surrogate") is True
         assert res.converged
+
+    @pytest.mark.parametrize(
+        "prebuilt, options",
+        [(True, {"budget": 10}), (True, {"bogus": 1}), (False, {"bogus": 1})],
+        ids=["budget-with-model", "bogus-with-model", "bogus-without-model"],
+    )
+    def test_doe_options_that_cannot_apply_raise_before_any_call(self, prebuilt, options):
+        # a DoE option next to a prebuilt model would be dropped silently,
+        # and an unknown one is rejected by the DoE's own signature
+        rv = standard_normal_vector(2)
+        model = exact_linear_model(rv, beta0=2.0) if prebuilt else None
+        ledger = EvalLedger()
+        with pytest.raises(TypeError, match="budget|bogus"):
+            metais_estimate(
+                benchmark_linear(2.0, dimension=2), rv, model=model, seed=24, ledger=ledger,
+                **options,
+            )
+        assert ledger.count == 0
 
     def test_exact_surrogate_stops_on_tight_bounds(self):
         # a linear trend fits the linear g exactly after the 12-point initial

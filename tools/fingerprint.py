@@ -15,7 +15,9 @@ change and where it is, and the paths of any other values that differ
 0 when every entry is identical and 1 otherwise.  Covered:
 
 * meta-IS on four-branch at the benchmark settings (n_corr 200, budget 48,
-  8 clusters, tol 0) for two seeds;
+  8 clusters, tol 0) for two seeds, and on a fixed surrogate passed as
+  ``model`` (constant trend, lengthscales 1.5, 30 space-filling points),
+  which skips the DoE; each result carries its sampler record;
 * AK-MCS on four-branch with a 2e4 pool, and two surrogate sweeps on its
   model that span several sampling blocks: the pf band at n = 1e6 and
   pf_epsilon at n = 2.5e5;
@@ -131,6 +133,15 @@ def _metais(seed: int) -> dict:
         seed=seed,
     )
     return res.to_dict()
+
+
+def _metais_prebuilt() -> dict:
+    rv = standard_normal_vector(2)
+    ls = benchmark_waarts()
+    pts = initial_design(rv, 30, seed=2)
+    model = krig_build(ExperimentalDesign(pts, evaluate_batch(ls, pts)), "constant",
+                       _squared_exponential((1.5, 1.5)))
+    return metais_estimate(ls, rv, n_corr=200, model=model, seed=3).to_dict()
 
 
 def _akmcs() -> dict:
@@ -345,6 +356,7 @@ def main(argv=None) -> int:
         doc = {
             "metais_seed0": _metais(0),
             "metais_seed1": _metais(1),
+            "metais_prebuilt": _metais_prebuilt(),
             "akmcs": _akmcs(),
             "compare_csv": _compare_csv(spec),
             "sweeps": _sweeps(spec),
