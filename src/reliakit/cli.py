@@ -335,9 +335,7 @@ def _run_method(
     if name == "form":
         return form(ls, rv, ledger=ledger, **opts).to_dict()
     if name == "metais":
-        doc = metais_estimate(ls, rv, seed=rng, ledger=ledger, **opts).to_dict()
-        doc["extras"].pop("doe_trace", None)
-        return doc
+        return metais_estimate(ls, rv, seed=rng, ledger=ledger, **opts).to_dict()
     if name == "ak":
         k = opts.pop("k", 1.96)
         n_bounds = opts.pop("n_bounds", 1_000_000)
@@ -351,6 +349,7 @@ def _run_method(
             "converged": res.converged,
             "stop_reason": res.stop_reason,
             "n_surrogate": n_bounds,
+            "doe_trace": res.trace,
         }
         return ReliabilityResult(mid, cov, res.n_calls, "ak", extras).to_dict()
     # qrs and pce: fit a surrogate on a design, then sweep it by Monte Carlo

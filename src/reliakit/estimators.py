@@ -9,7 +9,6 @@ projection search with line search and multiple starts).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -160,17 +159,12 @@ def estimate_mc(
     """Crude Monte Carlo estimate pf = (# failures) / n.
 
     Evaluates in batches of at most 100,000 rows to bound memory.  If no
-    failure is observed the estimate is 0 with infinite uncertainty; the
-    result carries ``extras['no_failures'] = True`` and a warning is issued.
+    failure is observed the estimate is 0 with infinite uncertainty, and
+    the result carries ``extras['no_failures'] = True``.
     """
     (pf,), (cov,) = _sweep(rv, lambda xs: evaluate_batch(ls, xs, ledger=ledger) <= 0.0, n, seed)
     extras = {"n_failures": round(pf * n)}
     if pf == 0.0:
-        warnings.warn(
-            "no failures observed; the failure probability is below the "
-            "resolution of this sample size",
-            RuntimeWarning,
-        )
         extras["no_failures"] = True
     return ReliabilityResult(pf=pf, cov=cov, n_calls=n, method="mc", extras=extras)
 
@@ -278,8 +272,6 @@ def estimate_is(
     idx = fail & (h > 0.0)
     w[idx] = f[idx] / h[idx]
     pf, cov = _mean_cov(w)
-    if pf <= 0.0:
-        warnings.warn("no failures observed under the instrumental density", RuntimeWarning)
     return ReliabilityResult(
         pf=pf,
         cov=cov,

@@ -159,14 +159,15 @@ class KrigingModel:
 
 
 def _build(design: ExperimentalDesign, trend: str, kernel: CorrelationKernel,
-           r0: np.ndarray, nugget: float = _NUGGET_START) -> KrigingModel:
+           r0: np.ndarray) -> KrigingModel:
     """The surrogate at fixed lengthscales from its nugget-free correlation matrix r0.
 
-    The nugget starts at ``nugget`` and escalates tenfold until the Cholesky
+    The nugget starts at 1e-10 and escalates tenfold until the Cholesky
     factorization succeeds, capped at 1e-6.
     """
     pts, y = design.points, design.responses
     n = pts.shape[0]
+    nugget = _NUGGET_START
     while True:
         try:
             L = np.linalg.cholesky(r0 + nugget * np.eye(n))
@@ -308,12 +309,6 @@ def krig_fit(
             "n_starts": max(1, n_starts),
         }
     )
-    if at_bounds:
-        warnings.warn(
-            "lengthscale optimum sits on its search bound; the fit may be "
-            "over- or under-smoothing",
-            RuntimeWarning,
-        )
     return model
 
 
@@ -511,9 +506,11 @@ def _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, pool, step, full_eve
     refits the surrogate (5 starts every ``full_every`` fits, else 2 from
     the last lengthscales), predicts ``pool`` and calls ``step(model, mu,
     sd)``, which returns its trace entry, a converged stop reason or None,
-    and ``pick(room)``.  The loop stops on that reason, then on the budget,
-    then on a :class:`MarginCollapsed` from ``pick``; otherwise it evaluates
-    the points ``pick`` returns (possibly none) and goes round again.
+    and ``pick(room)``; the loop adds the design size and the fit's
+    ``at_bounds`` flag to the entry.  The loop stops on that reason, then on
+    the budget, then on a :class:`MarginCollapsed` from ``pick``; otherwise
+    it evaluates the points ``pick`` returns (possibly none) and goes round
+    again.
     """
     n0 = max(12, 3 * rv.dimension)
     if budget < n0:
@@ -532,7 +529,8 @@ def _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, pool, step, full_eve
         )
         theta = model.kernel.theta
         entry, stop, pick = step(model, *krig_predict_batch(model, pool))
-        trace.append({"n_calls": design.size, **entry})
+        at_bounds = model.diagnostics["at_bounds"]
+        trace.append({"n_calls": design.size, **entry, "at_bounds": at_bounds})
         if stop is None and design.size >= budget:
             stop = "budget"
         if stop is None:

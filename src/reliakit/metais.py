@@ -140,11 +140,12 @@ def sample_instrumental(model: KrigingModel, rv: RandomVector, n: int, seed=None
     Once more than 3,000 · d proposals per kept row have been spent (d the
     input dimension; a pf_epsilon below about 1.7e-4 in 2-D), the rows kept
     so far stay and the missing ones come from lock-step chains in standard
-    normal coordinates, one started at each kept row
-    (:func:`~reliakit.mcmc.pcn_sample`).  Those draws are exact in
-    distribution but correlated.  When no row was kept, a single chain with
-    burn-in starts at the design or probe point with the largest pi (the
-    design winning ties); it may stay in one mode of a multimodal target.
+    normal coordinates (:func:`~reliakit.mcmc.pcn_sample`), one started at
+    each of the first min(kept, missing) kept rows in draw order.  Those
+    draws are exact in distribution but correlated.  When no row was kept,
+    a single chain with burn-in starts at the design or probe point with
+    the largest pi (the design winning ties); it may stay in one mode of a
+    multimodal target.
 
     Draws are deterministic per seed.  The record names the ``sampler``
     used ("rejection" or "chain") with the ``n_proposals`` and

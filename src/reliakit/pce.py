@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -375,12 +374,6 @@ def pce_fit_regression(
     n, p = pts.shape[0], basis.size
     if n < p:
         raise FitError(f"regression needs at least {p} points, got {n}")
-    if n < 2 * p:
-        warnings.warn(
-            f"design size {n} is below twice the basis size {p}; "
-            "the fit may be unstable",
-            RuntimeWarning,
-        )
     psi = basis.evaluate(physical_to_basis(rv, pts))
     scale = np.linalg.norm(psi, axis=0)
     if np.any(scale <= 0.0):

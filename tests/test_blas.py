@@ -78,7 +78,6 @@ def test_counts_restored_when_the_evaluator_raises():
     assert _blas.thread_counts() == before
 
 
-@pytest.mark.filterwarnings("ignore:lengthscale optimum sits on its search bound")
 def test_nested_entry_points_pin_and_restore_once(monkeypatch):
     lib = FakeLibrary()
     monkeypatch.setattr(_blas, "_libraries", lambda: [lib.entry()])

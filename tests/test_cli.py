@@ -595,6 +595,9 @@ class TestSurrogateMethods:
         res = record["result"]
         assert res["n_calls"] == res["n_calls_doe"] + res["n_calls_corr"]
         assert res["pf"] == pytest.approx(0.0227501, rel=0.5)
+        trace = res["extras"]["doe_trace"]
+        assert trace[-1]["n_calls"] == res["n_calls_doe"]
+        assert all(isinstance(e["at_bounds"], bool) for e in trace)
 
     def test_ak_on_linear_benchmark(self, tmp_path):
         out = str(tmp_path / "a.json")
@@ -617,6 +620,8 @@ class TestSurrogateMethods:
         assert extras["stop_reason"] in ("u_threshold", "budget")
         assert extras["converged"] == (extras["stop_reason"] == "u_threshold")
         assert extras["n_surrogate"] == 50_000
+        assert extras["doe_trace"][-1]["n_calls"] == res["n_calls"]
+        assert all(isinstance(e["at_bounds"], bool) for e in extras["doe_trace"])
 
     @pytest.mark.parametrize(
         "instrumental",

@@ -1,6 +1,7 @@
 """Sampling estimators, moment-based indices and FORM."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,10 +92,12 @@ class TestMonteCarlo:
     def test_no_failures_flagged(self):
         ls = benchmark_linear(8.0, dimension=1)
         rv = standard_normal_vector(1)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             res = estimate_mc(ls, rv, 1000, seed=1)
         assert res.pf == 0.0
-        assert res.extras.get("no_failures") is True
+        assert res.extras["no_failures"] is True
+        assert res.extras["n_failures"] == 0
 
     def test_ledger_counts_every_sample(self):
         ledger = EvalLedger()

@@ -262,9 +262,7 @@ class TestMle:
     def test_constant_responses_degenerate(self):
         x = np.linspace(0.0, 1.0, 6)[:, None]
         design = ExperimentalDesign(x, np.full(6, 4.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = krig_fit(design, seed=1)
+        model = krig_fit(design, seed=1)
         assert float(model.a[0]) == pytest.approx(4.0, abs=1e-8)
         assert model.sigma2 == pytest.approx(0.0, abs=1e-10)
 
@@ -275,9 +273,22 @@ class TestMle:
         ls = benchmark_linear(2.0, dimension=2)
         pts = initial_design(rv, 8, seed=77)
         design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             model = krig_fit(design, trend="constant", seed=2)
-        assert model.diagnostics.get("at_bounds") is True
+        assert model.diagnostics["at_bounds"] is True
+
+    def test_every_refit_records_bound_pinning(self):
+        # the linear g above pins a lengthscale on every AK-MCS refit; the
+        # infinite u_stop runs the loop to its budget (12 + 4 calls)
+        rv = standard_normal_vector(2)
+        ls = benchmark_linear(2.0, dimension=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = ak_mcs(ls, rv, n_pool=2_000, u_stop=math.inf, budget=16, seed=2)
+        assert [e["n_calls"] for e in res.trace] == [12, 13, 14, 15, 16]
+        assert all(e["at_bounds"] is True for e in res.trace)
+        assert res.trace[-1]["at_bounds"] == res.model.diagnostics["at_bounds"]
 
     @pytest.mark.parametrize("power", [2.0, 1.5])
     @pytest.mark.parametrize("m", [3, 4, 6])
@@ -286,15 +297,13 @@ class TestMle:
 
         x = np.random.default_rng(m).uniform(-2.0, 2.0, size=(5 * m, m))
         design = ExperimentalDesign(x, np.sin(x[:, 0]) + 0.2 * np.sum(x**2, axis=1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = krig_fit(design, power=power, seed=0)
+        model = krig_fit(design, power=power, seed=0)
         factored = []
         build = kriging._build
 
-        def recording_build(design, trend, kernel, r0, *args):
+        def recording_build(design, trend, kernel, r0):
             factored.append(r0)
-            return build(design, trend, kernel, r0, *args)
+            return build(design, trend, kernel, r0)
 
         monkeypatch.setattr(kriging, "_build", recording_build)
         kriging._profiled_objective_grad(design, "constant", model.kernel)
@@ -307,9 +316,7 @@ class TestMle:
         x = rng.uniform(-1, 1, size=(40, 2))
         y = np.sin(6.0 * x[:, 0])
         design = ExperimentalDesign(x, y)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = krig_fit(design, seed=3)
+        model = krig_fit(design, seed=3)
         assert model.kernel.theta[1] > 3.0 * model.kernel.theta[0]
 
 
@@ -381,9 +388,7 @@ class TestEnrichment:
         rv = standard_normal_vector(2)
         pts = initial_design(rv, n, seed=seed)
         design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return krig_fit(design, seed=seed), rv
+        return krig_fit(design, seed=seed), rv
 
     def test_ak_picks_most_ambiguous(self):
         model, rv = self.waarts_model()
@@ -450,9 +455,7 @@ class TestBounds:
         rv = standard_normal_vector(2)
         pts = initial_design(rv, 15, seed=11)
         design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = krig_fit(design, seed=11)
+        model = krig_fit(design, seed=11)
         lo, mid, hi = krig_pf_bounds(model, rv, n=20_000, seed=12)
         assert lo <= mid <= hi
 
@@ -495,9 +498,7 @@ class TestAdaptiveDrivers:
         ls = benchmark_linear(2.0, dimension=2)
         rv = standard_normal_vector(2)
         ledger = EvalLedger()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = ak_mcs(ls, rv, n_pool=20_000, budget=60, seed=18, ledger=ledger)
+        out = ak_mcs(ls, rv, n_pool=20_000, budget=60, seed=18, ledger=ledger)
         assert isinstance(out, AdaptiveResult)
         assert out.converged
         assert out.stop_reason == "u_threshold"
@@ -508,9 +509,7 @@ class TestAdaptiveDrivers:
     def test_ak_mcs_budget_exhaustion(self):
         ls = benchmark_waarts()
         rv = standard_normal_vector(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = ak_mcs(ls, rv, n_pool=5_000, budget=14, seed=20)
+        out = ak_mcs(ls, rv, n_pool=5_000, budget=14, seed=20)
         assert not out.converged
         assert out.stop_reason == "budget"
         assert out.n_calls == 14
@@ -518,11 +517,9 @@ class TestAdaptiveDrivers:
     def test_margin_driver_on_waarts(self):
         ls = benchmark_waarts()
         rv = standard_normal_vector(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = adaptive_margin_design(
-                ls, rv, tol=0.35, budget=60, n_bounds=20_000, n_chain=150, seed=21
-            )
+        out = adaptive_margin_design(
+            ls, rv, tol=0.35, budget=60, n_bounds=20_000, n_chain=150, seed=21
+        )
         assert out.converged
         assert out.trace  # spread recorded per iteration
         lo, mid, hi = krig_pf_bounds(out.model, rv, n=200_000, seed=22)
@@ -534,11 +531,9 @@ class TestAdaptiveDrivers:
         # the margin is ever sampled (the collapse path is the next test)
         ls = benchmark_linear(2.0, dimension=2)
         rv = standard_normal_vector(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = adaptive_margin_design(
-                ls, rv, trend="linear", budget=40, n_bounds=10_000, seed=23
-            )
+        out = adaptive_margin_design(
+            ls, rv, trend="linear", budget=40, n_bounds=10_000, seed=23
+        )
         assert out.converged
         assert out.stop_reason == "bounds_tight"
         assert out.n_calls == 12
@@ -551,12 +546,10 @@ class TestAdaptiveDrivers:
 
         monkeypatch.setattr(kriging, "enrich_margin", collapsed)
         ledger = EvalLedger()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = adaptive_margin_design(
-                benchmark_waarts(), standard_normal_vector(2), budget=40, n_bounds=10_000,
-                seed=5, ledger=ledger,
-            )
+        out = adaptive_margin_design(
+            benchmark_waarts(), standard_normal_vector(2), budget=40, n_bounds=10_000,
+            seed=5, ledger=ledger,
+        )
         assert out.converged
         assert out.stop_reason == "margin_collapsed"
         assert out.n_calls == ledger.count == 12
@@ -564,12 +557,10 @@ class TestAdaptiveDrivers:
 
     def test_margin_design_budget_exhaustion(self):
         ledger = EvalLedger()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = adaptive_margin_design(
-                benchmark_waarts(), standard_normal_vector(2), tol=0.0, budget=30, seed=5,
-                ledger=ledger,
-            )
+        out = adaptive_margin_design(
+            benchmark_waarts(), standard_normal_vector(2), tol=0.0, budget=30, seed=5,
+            ledger=ledger,
+        )
         assert not out.converged
         assert out.stop_reason == "budget"
         assert out.n_calls == ledger.count == 30
@@ -591,12 +582,10 @@ class TestAdaptiveDrivers:
 
         monkeypatch.setattr(kriging, "_predict_arrays", counted)
         monkeypatch.setattr(kriging, "krig_pf_bounds", forbidden)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = adaptive_margin_design(
-                benchmark_waarts(), standard_normal_vector(2), tol=0.0, budget=30,
-                n_bounds=10_000, seed=5,
-            )
+        out = adaptive_margin_design(
+            benchmark_waarts(), standard_normal_vector(2), tol=0.0, budget=30,
+            n_bounds=10_000, seed=5,
+        )
         assert out.stop_reason == "budget"
         assert sum(rows) == len(out.trace) * 10_000
 
@@ -623,15 +612,13 @@ class TestAdaptiveDrivers:
         design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
         probe = rv.sample(20_000, seed=25)
         masses = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        model = krig_fit(design, seed=24)
+        for it in range(5):
+            mu, sd = krig_predict_batch(model, probe)
+            masses.append(float(np.mean(margin_probability(mu, sd, 1.96))))
+            draws = margin_draws(model, rv, 250, seed=26 + it)
+            new_pts = enrich_margin(model, draws, seed=26 + it)
+            design = design.extended(new_pts, evaluate_batch(ls, new_pts))
             model = krig_fit(design, seed=24)
-            for it in range(5):
-                mu, sd = krig_predict_batch(model, probe)
-                masses.append(float(np.mean(margin_probability(mu, sd, 1.96))))
-                draws = margin_draws(model, rv, 250, seed=26 + it)
-                new_pts = enrich_margin(model, draws, seed=26 + it)
-                design = design.extended(new_pts, evaluate_batch(ls, new_pts))
-                model = krig_fit(design, seed=24)
         ups = sum(1 for a, b in zip(masses, masses[1:]) if b > a)
         assert ups <= 1

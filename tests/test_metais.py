@@ -1,7 +1,6 @@
 """Surrogate-corrected importance sampling."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -57,9 +56,7 @@ def ambiguous_waarts_model(n=25, seed=3):
     rv = standard_normal_vector(2)
     pts = initial_design(rv, n, seed=seed)
     design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return krig_fit(design, seed=seed), rv
+    return krig_fit(design, seed=seed), rv
 
 
 class TestPfEpsilon:
@@ -273,19 +270,17 @@ class TestFullEstimate:
         ls = benchmark_waarts()
         rv = standard_normal_vector(2)
         ledger = EvalLedger()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = metais_estimate(
-                ls,
-                rv,
-                n_epsilon=20_000,
-                n_corr=60,
-                budget=40,
-                n_bounds=20_000,
-                n_chain=120,
-                seed=22,
-                ledger=ledger,
-            )
+        res = metais_estimate(
+            ls,
+            rv,
+            n_epsilon=20_000,
+            n_corr=60,
+            budget=40,
+            n_bounds=20_000,
+            n_chain=120,
+            seed=22,
+            ledger=ledger,
+        )
         assert res.pf == pytest.approx(res.pf_epsilon * res.alpha_corr, rel=1e-14)
         assert res.n_model_calls_corr == 60
         assert res.n_model_calls_doe + res.n_model_calls_corr == ledger.count
@@ -296,11 +291,9 @@ class TestFullEstimate:
     def test_linear_benchmark_unbiased(self):
         ls = benchmark_linear(2.0, dimension=2)
         rv = standard_normal_vector(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = metais_estimate(
-                ls, rv, n_epsilon=50_000, n_corr=100, budget=40, n_bounds=20_000, seed=23
-            )
+        res = metais_estimate(
+            ls, rv, n_epsilon=50_000, n_corr=100, budget=40, n_bounds=20_000, seed=23
+        )
         pf = float(ndtr(-2.0))
         se = res.cov_total * res.pf
         assert abs(res.pf - pf) <= 3.0 * se + 1e-12
@@ -343,18 +336,16 @@ class TestFullEstimate:
         # design, so the pf band has zero width and the DoE stops there
         ls = benchmark_linear(2.0, dimension=2)
         rv = standard_normal_vector(2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = metais_estimate(
-                ls,
-                rv,
-                n_epsilon=30_000,
-                n_corr=50,
-                budget=40,
-                n_bounds=20_000,
-                trend="linear",
-                seed=25,
-            )
+        res = metais_estimate(
+            ls,
+            rv,
+            n_epsilon=30_000,
+            n_corr=50,
+            budget=40,
+            n_bounds=20_000,
+            trend="linear",
+            seed=25,
+        )
         assert res.converged
         assert res.extras["doe_stop_reason"] == "bounds_tight"
         assert res.n_model_calls_doe == 12
@@ -380,9 +371,7 @@ class TestFullEstimate:
         ls = benchmark_waarts()
         rv = standard_normal_vector(2)
         kw = dict(n_epsilon=10_000, n_corr=30, budget=30, n_bounds=10_000, n_chain=80)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            a = metais_estimate(ls, rv, seed=27, **kw)
-            b = metais_estimate(ls, rv, seed=27, **kw)
+        a = metais_estimate(ls, rv, seed=27, **kw)
+        b = metais_estimate(ls, rv, seed=27, **kw)
         assert a.pf == b.pf
         assert a.n_model_calls_doe == b.n_model_calls_doe

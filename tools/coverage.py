@@ -57,7 +57,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,17 +202,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="0-29", help="e.g. 0-29 or 0,1,5,7 (ranges inclusive)")
     args = ap.parse_args(argv)
     seeds = _seeds(args.seeds)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if args.case == "sampler":
-            runs = _sampler_runs(seeds)
-            doc = {"case": "sampler", "summary": _sampler_summary(runs), "runs": runs}
-        else:
-            ref = four_branch_pf()
-            opts = SETTINGS[args.settings]
-            runs = [_run(s, opts, ref) for s in seeds]
-            doc = {"case": "metais", "settings": args.settings, "options": opts, "reference": ref,
-                   "summary": _summary(runs), "runs": runs}
+    if args.case == "sampler":
+        runs = _sampler_runs(seeds)
+        doc = {"case": "sampler", "summary": _sampler_summary(runs), "runs": runs}
+    else:
+        ref = four_branch_pf()
+        opts = SETTINGS[args.settings]
+        runs = [_run(s, opts, ref) for s in seeds]
+        doc = {"case": "metais", "settings": args.settings, "options": opts, "reference": ref,
+               "summary": _summary(runs), "runs": runs}
     doc["summary"]["blas_threads"] = one_blas_thread(thread_counts)()
     json.dump(doc, sys.stdout, indent=1)
     sys.stdout.write("\n")

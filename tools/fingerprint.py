@@ -53,7 +53,6 @@ import math
 import re
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -351,22 +350,20 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     spec = json.loads(COMPARE_CONFIG.read_text())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        doc = {
-            "metais_seed0": _metais(0),
-            "metais_seed1": _metais(1),
-            "metais_prebuilt": _metais_prebuilt(),
-            "akmcs": _akmcs(),
-            "compare_csv": _compare_csv(spec),
-            "sweeps": _sweeps(spec),
-            "gradient_compare": _gradient_methods(*cli._build_problem(spec["problem"])),
-            "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
-            "kriging_fits_nd": _kriging_fits_nd(),
-            "pce_maps": _pce_maps(),
-            "pce_predict": _pce_predict(spec),
-            "rare_instrumental": _rare_instrumental(),
-        }
+    doc = {
+        "metais_seed0": _metais(0),
+        "metais_seed1": _metais(1),
+        "metais_prebuilt": _metais_prebuilt(),
+        "akmcs": _akmcs(),
+        "compare_csv": _compare_csv(spec),
+        "sweeps": _sweeps(spec),
+        "gradient_compare": _gradient_methods(*cli._build_problem(spec["problem"])),
+        "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
+        "kriging_fits_nd": _kriging_fits_nd(),
+        "pce_maps": _pce_maps(),
+        "pce_predict": _pce_predict(spec),
+        "rare_instrumental": _rare_instrumental(),
+    }
     json.dump(_hex(doc), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
