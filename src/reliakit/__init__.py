@@ -33,6 +33,7 @@ from .kriging import (
     CorrelationKernel,
     KrigingModel,
     adaptive_margin_design,
+    ak_estimate,
     ak_mcs,
     classification_probability,
     enrich_margin,
@@ -72,7 +73,7 @@ from .pce import (
     gauss_rule,
     orthonormal_table,
     pce_adaptive,
-    pce_fit_projection,
+    pce_estimate,
     pce_fit_regression,
     pce_moments,
     pce_pf,
@@ -80,6 +81,6 @@ from .pce import (
     truncation_set,
 )
 from .probmodel import Marginal, RandomVector, make_rng, standard_normal_vector
-from .response_surface import QuadraticSurface, qrs_basis, qrs_fit, qrs_n_coeffs
+from .response_surface import QuadraticSurface, qrs_basis, qrs_estimate, qrs_fit, qrs_n_coeffs
 
 __version__ = "0.1.0"

@@ -22,29 +22,19 @@ from jsonschema.validators import validator_for
 
 from ._blas import one_blas_thread
 from .errors import ReliakitError
-from .estimators import (
-    InstrumentalDensity,
-    ReliabilityResult,
-    cornell_index,
-    estimate_is,
-    estimate_mc,
-    form,
-    mc_cov,
-)
-from .kriging import ak_mcs, krig_pf_bounds
+from .estimators import InstrumentalDensity, cornell_index, estimate_is, estimate_mc, form
+from .kriging import ak_estimate
 from .limitstate import (
     EvalLedger,
-    ExperimentalDesign,
     LimitState,
     benchmark_linear,
     benchmark_waarts,
-    evaluate_batch,
     limit_state_from_expression,
 )
 from .metais import metais_estimate
-from .pce import basis_for, pce_adaptive, pce_fit_regression, pce_pf
+from .pce import pce_estimate
 from .probmodel import Marginal, RandomVector, make_rng, standard_normal_vector
-from .response_surface import qrs_fit, qrs_n_coeffs
+from .response_surface import qrs_estimate
 
 __all__ = ["main", "run", "compare"]
 
@@ -52,7 +42,8 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (ReliakitError, np.linalg.LinAlgError, OverflowError, FloatingPointError)
+_NUMERICAL_ERRORS = (ReliakitError, np.linalg.LinAlgError, OverflowError, FloatingPointError,
+                     MemoryError)
 
 _MARGINAL_SCHEMA = {
     "type": "object",
@@ -148,7 +139,6 @@ _METHOD_OPTION_SCHEMAS = {
         "degree": {"type": "integer", "minimum": 1, "maximum": 20},
         "target_error": _POS,
         "p_max": {"type": "integer", "minimum": 1, "maximum": 20},
-        "n_factor": {"type": "integer", "minimum": 1, "maximum": 10},
         "n_surrogate": _COUNT,
     },
     "ak": {
@@ -303,8 +293,8 @@ def _typed_options(method: dict) -> dict:
     }
 
 
-def _instrumental(rv: RandomVector, spec: dict) -> InstrumentalDensity:
-    if spec["type"] == "input":
+def _instrumental(rv: RandomVector, spec: dict | None) -> InstrumentalDensity:
+    if spec is None or spec["type"] == "input":
         return InstrumentalDensity.from_random_vector(rv)
     opts = {key: val for key, val in spec.items() if key != "type"}
     center = np.asarray(opts.pop("center"), dtype=float)
@@ -313,68 +303,27 @@ def _instrumental(rv: RandomVector, spec: dict) -> InstrumentalDensity:
     return InstrumentalDensity.gaussian_centered(center, **opts)
 
 
-def _run_method(
-    ls: LimitState,
-    rv: RandomVector,
-    method: dict,
-    seed: int,
-) -> dict:
+# One library call per method, adapted only where a config entry or a
+# signature differs.  Each entry looks its function up when it is called, so
+# a name rebound in this module (a test double, a tracing wrapper) is used.
+_METHODS = {
+    "mc": lambda ls, rv, n=100_000, **kw: estimate_mc(ls, rv, n, **kw),
+    "is": lambda ls, rv, n=10_000, instrumental=None, **kw: estimate_is(
+        ls, _instrumental(rv, instrumental), rv.joint_pdf, n, **kw),
+    "fosm": lambda ls, rv, seed, **kw: cornell_index(ls, rv, **kw),
+    "form": lambda ls, rv, seed, **kw: form(ls, rv, **kw),
+    "qrs": lambda ls, rv, **kw: qrs_estimate(ls, rv, **kw),
+    "pce": lambda ls, rv, **kw: pce_estimate(ls, rv, **kw),
+    "ak": lambda ls, rv, **kw: ak_estimate(ls, rv, **kw),
+    "metais": lambda ls, rv, **kw: metais_estimate(ls, rv, **kw),
+}
+
+
+def _run_method(ls: LimitState, rv: RandomVector, method: dict, seed: int) -> dict:
     """Run one configured method; options left out take the library defaults."""
-    name = method["name"]
     opts = _typed_options(method)
-    ledger = EvalLedger()
-    rng = make_rng(seed)
-    if name == "mc":
-        return estimate_mc(ls, rv, opts.get("n", 100_000), seed=rng, ledger=ledger).to_dict()
-    if name == "is":
-        inst = _instrumental(rv, opts.get("instrumental", {"type": "input"}))
-        return estimate_is(ls, inst, rv.joint_pdf,
-                           opts.get("n", 10_000), seed=rng, ledger=ledger).to_dict()
-    if name == "fosm":
-        return cornell_index(ls, rv, ledger=ledger, **opts).to_dict()
-    if name == "form":
-        return form(ls, rv, ledger=ledger, **opts).to_dict()
-    if name == "metais":
-        return metais_estimate(ls, rv, seed=rng, ledger=ledger, **opts).to_dict()
-    if name == "ak":
-        k = opts.pop("k", 1.96)
-        n_bounds = opts.pop("n_bounds", 1_000_000)
-        res = ak_mcs(ls, rv, seed=rng, ledger=ledger, **opts)
-        lo, mid, hi = krig_pf_bounds(res.model, rv, k=k, n=n_bounds, seed=rng)
-        cov = mc_cov(mid, n_bounds) if 0.0 < mid < 1.0 else math.inf
-        extras = {
-            "pf_lower": lo,
-            "pf_upper": hi,
-            "spread": (hi - lo) / mid if mid > 0 else None,
-            "converged": res.converged,
-            "stop_reason": res.stop_reason,
-            "n_surrogate": n_bounds,
-            "doe_trace": res.trace,
-        }
-        return ReliabilityResult(mid, cov, res.n_calls, "ak", extras).to_dict()
-    # qrs and pce: fit a surrogate on a design, then sweep it by Monte Carlo
-    n_sur = opts.get("n_surrogate", 1_000_000)
-    if name == "qrs":
-        cross = opts.get("include_cross", True)
-        n_design = opts.get("n_design", 3 * qrs_n_coeffs(rv.dimension, cross))
-        pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)
-        surf = qrs_fit(pts, evaluate_batch(ls, pts, ledger=ledger), include_cross=cross)
-        sur = estimate_mc(surf.to_limit_state(), rv, n_sur, seed=rng)
-        fit = surf.diagnostics
-    else:
-        if "target_error" in opts:
-            model = pce_adaptive(ls, rv, target_err=opts["target_error"],
-                                 p_max=opts.get("p_max", 5), seed=rng, ledger=ledger)
-        else:
-            basis = basis_for(rv, opts.get("degree", 3))
-            n_design = opts.get("n_factor", 2) * basis.size
-            pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)
-            g = evaluate_batch(ls, pts, ledger=ledger)
-            model = pce_fit_regression(rv, basis, ExperimentalDesign(pts, g))
-        sur = pce_pf(model, rv, n_sur, seed=rng)
-        fit = dict(model.diagnostics)
-    extras = {"n_surrogate": n_sur, "fit": fit}
-    return ReliabilityResult(sur.pf, sur.cov, ledger.count, name, extras).to_dict()
+    call = _METHODS[method["name"]]
+    return call(ls, rv, seed=make_rng(seed), ledger=EvalLedger(), **opts).to_dict()
 
 
 def _summary_line(doc: dict) -> str:

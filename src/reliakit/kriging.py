@@ -40,7 +40,7 @@ from scipy.special import ndtr
 
 from ._blas import one_blas_thread
 from .errors import ConditioningError, FitError, MarginCollapsed
-from .estimators import _sweep
+from .estimators import ReliabilityResult, _sweep, mc_cov
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
 from .probmodel import RandomVector, _latin_hypercube, make_rng
 
@@ -60,6 +60,7 @@ __all__ = [
     "initial_design",
     "AdaptiveResult",
     "ak_mcs",
+    "ak_estimate",
     "adaptive_margin_design",
 ]
 
@@ -584,6 +585,32 @@ def ak_mcs(
         return entry, "u_threshold" if min_u >= u_stop else None, pick
 
     return _enrich(ls, rv, budget, trend, s_design, s_fit, ledger, pool, step, full_every=10)
+
+
+@one_blas_thread
+def ak_estimate(
+    ls: LimitState,
+    rv: RandomVector,
+    n_bounds: int = 1_000_000,
+    k: float = 1.96,
+    seed=None,
+    ledger: EvalLedger | None = None,
+    **options,
+) -> ReliabilityResult:
+    """AK-MCS estimate: :func:`ak_mcs` with ``options``, then its model's pf band.
+
+    pf is the centre of the +-k sigma band over ``n_bounds`` draws, and the CoV
+    only that sweep's sampling CoV, blind to the surrogate's error.  The band
+    ends, the enrichment's stop and its trace are in ``extras``.
+    """
+    rng = make_rng(seed)
+    res = ak_mcs(ls, rv, seed=rng, ledger=ledger, **options)
+    lo, mid, hi = krig_pf_bounds(res.model, rv, k=k, n=n_bounds, seed=rng)
+    spread = (hi - lo) / mid if mid > 0 else None
+    extras = {"pf_lower": lo, "pf_upper": hi, "spread": spread, "converged": res.converged,
+              "stop_reason": res.stop_reason, "n_surrogate": n_bounds, "doe_trace": res.trace}
+    cov = mc_cov(mid, n_bounds) if 0.0 < mid < 1.0 else math.inf
+    return ReliabilityResult(mid, cov, res.n_calls, "ak", extras)
 
 
 @one_blas_thread

@@ -5,9 +5,10 @@ respect to the joint input density: Hermite for Gaussian inputs, Legendre
 for uniform, generalized Laguerre for gamma, Jacobi for beta.  The module
 provides the univariate families (evaluated by three-term recurrence,
 normalized against probability weights), tensorized multivariate bases with
-total-degree truncation, least-squares and quadrature-projection fitting,
-analytic leave-one-out error, moment and failure-probability
-post-processing, and a degree-adaptive fitting loop.
+total-degree truncation, least-squares fitting, analytic leave-one-out
+error, moment and failure-probability post-processing, a degree-adaptive
+fitting loop, and :func:`pce_estimate`, which composes a design, a fit and
+the surrogate sweep into one estimate.
 
 Multi-index sets are kept in graded lexicographic order: ascending total
 degree, and within one degree the index with the higher power on the
@@ -45,16 +46,15 @@ __all__ = [
     "basis_to_physical",
     "PceModel",
     "pce_fit_regression",
-    "pce_fit_projection",
     "pce_moments",
     "pce_pf",
     "pce_adaptive",
+    "pce_estimate",
 ]
 
 _KINDS = ("hermite", "legendre", "laguerre", "jacobi")
 
 _COND_LIMIT = 1e10
-_GRID_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -423,48 +423,6 @@ def _loo_from_qr(a: np.ndarray, y: np.ndarray, resid: np.ndarray, y_var: float):
     return (0.0 if mse < 1e-24 else math.inf), True
 
 
-@one_blas_thread
-def pce_fit_projection(
-    func,
-    rv: RandomVector,
-    basis: PceBasis,
-    quad_level: int,
-    ledger: EvalLedger | None = None,
-) -> PceModel:
-    """Coefficients by tensorized Gauss quadrature of the projections.
-
-    ``func`` is a :class:`LimitState` or a vectorized callable on physical
-    points.  Exact whenever func times each basis polynomial has per-axis
-    degree at most 2*quad_level - 1.  The full grid has quad_level**M
-    nodes; budgets beyond 1e6 nodes are rejected.
-    """
-    m = basis.dimension
-    if quad_level < 1:
-        raise ValueError("quad_level must be >= 1")
-    if float(quad_level) ** m > _GRID_LIMIT:
-        raise ValueError(
-            f"tensor grid {quad_level}^{m} exceeds the {_GRID_LIMIT:.0e}-node budget"
-        )
-    rules = [gauss_rule(fam, quad_level) for fam in basis.families]
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    xi = np.column_stack([g.ravel() for g in grids])
-    w = np.prod([g.ravel() for g in np.meshgrid(*[r[1] for r in rules], indexing="ij")], axis=0)
-    x = basis_to_physical(rv, xi)
-    if isinstance(func, LimitState):
-        vals = evaluate_batch(func, x, ledger=ledger)
-    else:
-        vals = np.asarray(func(x), dtype=float).reshape(xi.shape[0])
-    wg, coef = w * vals, np.empty(basis.size)
-    for j, prod in basis._products(xi):
-        coef[j] = prod @ wg
-    return PceModel(
-        basis=basis,
-        coefficients=coef,
-        rv=rv,
-        diagnostics={"quad_level": quad_level, "n_nodes": xi.shape[0]},
-    )
-
-
 def pce_moments(model: PceModel) -> tuple[float, float]:
     """Mean and variance of the surrogate from its coefficients.
 
@@ -557,3 +515,37 @@ def pce_adaptive(
         raise FitError("no degree up to p_max produced a usable fit")
     best.diagnostics["converged"] = False
     return best
+
+
+@one_blas_thread
+def pce_estimate(
+    ls: LimitState,
+    rv: RandomVector,
+    degree: int = 3,
+    target_error: float | None = None,
+    p_max: int = 5,
+    n_surrogate: int = 1_000_000,
+    seed=None,
+    ledger: EvalLedger | None = None,
+) -> ReliabilityResult:
+    """Failure probability of an expansion fitted to the true model.
+
+    With ``target_error`` the degree is chosen by :func:`pce_adaptive` (up
+    to ``p_max``); otherwise a total-degree ``degree`` basis is fitted on a
+    Latin-hypercube design of twice its size.  :func:`pce_pf` then sweeps
+    the expansion over ``n_surrogate`` draws.  ``n_calls`` counts every
+    true-model call, including designs of degrees the adaptive loop passed.
+    """
+    rng = make_rng(seed)
+    ledger = EvalLedger() if ledger is None else ledger
+    start = ledger.count
+    if target_error is not None:
+        model = pce_adaptive(ls, rv, target_error, p_max, seed=rng, ledger=ledger)
+    else:
+        basis = basis_for(rv, degree)
+        pts = rv.sample(2 * basis.size, scheme="latin_hypercube", seed=rng)
+        g = evaluate_batch(ls, pts, ledger=ledger)
+        model = pce_fit_regression(rv, basis, ExperimentalDesign(pts, g))
+    sur = pce_pf(model, rv, n_surrogate, seed=rng)
+    extras = {"n_surrogate": n_surrogate, "fit": dict(model.diagnostics)}
+    return ReliabilityResult(sur.pf, sur.cov, ledger.count - start, "pce", extras)

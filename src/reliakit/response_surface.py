@@ -3,7 +3,9 @@
 A quadratic surrogate ghat(x) = a0 + a.x + x'Bx fitted by least squares on
 an evaluated design.  The fit standardizes the regressors internally and
 maps the coefficients back, so callers see coefficients of the raw
-monomials regardless of the scaling of the inputs.
+monomials regardless of the scaling of the inputs.  :func:`qrs_estimate`
+composes a design, the fit and a Monte Carlo sweep of the surface into one
+failure-probability estimate.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .errors import FitError
-from .limitstate import LimitState
+from .estimators import ReliabilityResult, estimate_mc
+from .limitstate import EvalLedger, LimitState, evaluate_batch
+from .probmodel import RandomVector, make_rng
 
-__all__ = ["qrs_basis", "qrs_n_coeffs", "QuadraticSurface", "qrs_fit"]
+__all__ = ["qrs_basis", "qrs_n_coeffs", "QuadraticSurface", "qrs_fit", "qrs_estimate"]
 
 _COND_LIMIT = 1e10
 
@@ -160,3 +164,30 @@ def qrs_fit(points, responses, include_cross: bool = True) -> QuadraticSurface:
         },
     )
     return surf
+
+
+@one_blas_thread
+def qrs_estimate(
+    ls: LimitState,
+    rv: RandomVector,
+    n_design: int | None = None,
+    n_surrogate: int = 1_000_000,
+    include_cross: bool = True,
+    seed=None,
+    ledger: EvalLedger | None = None,
+) -> ReliabilityResult:
+    """Failure probability of a quadratic surface fitted to the true model.
+
+    A Latin-hypercube design of ``n_design`` points (default three times
+    the number of coefficients) is evaluated and fitted by :func:`qrs_fit`;
+    the surface is then swept by crude Monte Carlo over ``n_surrogate``
+    draws.  Only the design costs true-model calls.
+    """
+    rng = make_rng(seed)
+    if n_design is None:
+        n_design = 3 * qrs_n_coeffs(rv.dimension, include_cross)
+    pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)
+    surf = qrs_fit(pts, evaluate_batch(ls, pts, ledger=ledger), include_cross=include_cross)
+    sur = estimate_mc(surf.to_limit_state(), rv, n_surrogate, seed=rng)
+    extras = {"n_surrogate": n_surrogate, "fit": surf.diagnostics}
+    return ReliabilityResult(sur.pf, sur.cov, n_design, "qrs", extras)

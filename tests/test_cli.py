@@ -476,7 +476,7 @@ class TestExitCodes:
         for cls in LIBRARY_ERRORS:
             assert issubclass(cls, reliakit.ReliakitError), cls.__name__
 
-    @pytest.mark.parametrize("cls", LIBRARY_ERRORS, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("cls", LIBRARY_ERRORS + [MemoryError], ids=lambda cls: cls.__name__)
     def test_library_error_exits_three_and_fails_its_compare_row(
         self, tmp_path, monkeypatch, cls
     ):
@@ -502,6 +502,57 @@ class TestExitCodes:
         self.raise_from_run_method(monkeypatch, reliakit.cli.ConfigError("injected"))
         cfg = write_config(tmp_path, linear_mc_config(str(tmp_path / "res.json")))
         assert main(["run", "--config", cfg]) == 2
+
+
+# Each CLI method entry on the 2-D linear benchmark, and the library function
+# it stands for; the entry's options are that function's parameters.
+PARITY_CASES = {
+    "mc": ("estimate_mc", {"name": "mc", "n": 2000}),
+    "is": ("estimate_is", {"name": "is", "n": 2000}),
+    "is_gaussian_centered": (
+        "estimate_is",
+        {"name": "is", "n": 2000, "instrumental": {"type": "gaussian_centered", "center": [1, 1]}},
+    ),
+    "fosm": ("cornell_index", {"name": "fosm"}),
+    "form": ("form", {"name": "form", "max_iter": 50}),
+    "qrs": ("qrs_estimate", {"name": "qrs", "n_surrogate": 20_000}),
+    "pce": ("pce_estimate", {"name": "pce", "degree": 2, "n_surrogate": 20_000}),
+    "pce_target_error": (
+        "pce_estimate",
+        {"name": "pce", "target_error": 1e-3, "p_max": 3, "n_surrogate": 20_000},
+    ),
+    "ak": ("ak_estimate", {"name": "ak", "n_pool": 2000, "budget": 20, "n_bounds": 20_000}),
+    "metais": (
+        "metais_estimate",
+        {"name": "metais", "n_epsilon": 20_000, "n_corr": 30, "budget": 20, "n_bounds": 5000,
+         "n_chain": 100},
+    ),
+}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_each_method_is_one_library_call(self, case):
+        function, method = PARITY_CASES[case]
+        ls, rv = reliakit.benchmark_linear(2.0), reliakit.standard_normal_vector(2)
+        opts = {key: val for key, val in method.items() if key != "name"}
+        call = getattr(reliakit, function)
+        ledger = reliakit.EvalLedger()
+        if function == "estimate_is":
+            spec = opts.pop("instrumental", {"type": "input"})
+            density = (
+                reliakit.InstrumentalDensity.gaussian_centered(spec["center"])
+                if spec["type"] == "gaussian_centered"
+                else reliakit.InstrumentalDensity.from_random_vector(rv)
+            )
+            want = call(ls, density, rv.joint_pdf, seed=5, ledger=ledger, **opts)
+        elif function in ("cornell_index", "form"):
+            want = call(ls, rv, ledger=ledger, **opts)
+        else:
+            want = call(ls, rv, seed=5, ledger=ledger, **opts)
+        doc = want.to_dict()
+        assert reliakit.cli._run_method(ls, rv, method, 5) == doc
+        assert doc["n_calls"] == ledger.count
 
 
 class TestEnvironment:

@@ -8,6 +8,7 @@ import pytest
 from scipy import special, stats
 
 from reliakit import (
+    EvalLedger,
     ExperimentalDesign,
     FitError,
     LimitState,
@@ -23,7 +24,7 @@ from reliakit import (
     gauss_rule,
     orthonormal_table,
     pce_adaptive,
-    pce_fit_projection,
+    pce_estimate,
     pce_fit_regression,
     pce_moments,
     pce_pf,
@@ -345,76 +346,6 @@ class TestRegression:
         np.testing.assert_allclose(inner / scale, 0.0, atol=1e-8)
 
 
-class TestProjection:
-    def test_recovers_single_basis_function(self):
-        rv = standard_normal_vector(2)
-        basis = basis_for(rv, 3)
-        target = (2, 1)
-        one = PceBasis(basis.families, (target,))
-
-        def func(x):
-            return float(one.evaluate(rv.to_standard(x[None, :]))[0, 0])
-
-        ls = LimitState(2, func)
-        model = pce_fit_projection(ls, rv, basis, quad_level=5)
-        for alpha in basis.indices:
-            want = 1.0 if alpha == target else 0.0
-            assert model.coefficient(alpha) == pytest.approx(want, abs=1e-12)
-
-    def test_matches_regression_on_smooth_function(self):
-        rv = RandomVector((Marginal.uniform(-1, 1), Marginal.gaussian(0, 1)))
-        ls = LimitState(2, lambda x: math.exp(0.3 * x[0]) + 0.2 * x[1] ** 2)
-        basis = basis_for(rv, 4)
-        proj = pce_fit_projection(ls, rv, basis, quad_level=8)
-        reg = pce_fit_regression(rv, basis, _design_for(rv, ls, 120, 5))
-        np.testing.assert_allclose(proj.coefficients, reg.coefficients, atol=2e-5)
-
-    def test_matches_basis_matrix_oracle(self):
-        # four families, degree 6: the term-by-term projection against the
-        # weighted basis matrix on the same 7^4 tensor grid
-        rv = RandomVector(
-            (
-                Marginal.gaussian(1.0, 0.5),
-                Marginal.uniform(-1.0, 3.0),
-                Marginal.gamma(3.0, 0.5),
-                Marginal.beta(2.0, 5.0, 1.0, 4.0),
-            )
-        )
-        basis = basis_for(rv, 6)
-
-        def func(x):
-            return np.exp(0.3 * x[:, 0]) + np.sin(x[:, 1]) * x[:, 2] - x[:, 3] ** 2
-
-        model = pce_fit_projection(func, rv, basis, quad_level=7)
-        rules = [gauss_rule(fam, 7) for fam in basis.families]
-        nodes = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-        weights = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-        xi = np.column_stack([g.ravel() for g in nodes])
-        w = np.prod([g.ravel() for g in weights], axis=0)
-        want = basis.evaluate(xi).T @ (w * func(basis_to_physical(rv, xi)))
-        np.testing.assert_allclose(model.coefficients, want, rtol=0.0, atol=1e-12)
-
-    def test_zero_function_gives_zero_coefficients(self):
-        rv = standard_normal_vector(2)
-        model = pce_fit_projection(LimitState(2, lambda x: 0.0), rv, basis_for(rv, 2), 4)
-        np.testing.assert_allclose(model.coefficients, 0.0, atol=1e-15)
-
-    def test_grid_budget_guard(self):
-        rv = standard_normal_vector(8)
-        with pytest.raises(ValueError):
-            pce_fit_projection(LimitState(8, lambda x: 0.0), rv, basis_for(rv, 2), 12)
-
-    def test_ledger_charges_full_grid(self):
-        from reliakit import EvalLedger
-
-        rv = standard_normal_vector(2)
-        ledger = EvalLedger()
-        pce_fit_projection(
-            LimitState(2, lambda x: x[0]), rv, basis_for(rv, 2), 4, ledger=ledger
-        )
-        assert ledger.count == 16
-
-
 def benchmark_waarts_like():
     from reliakit import benchmark_waarts
 
@@ -590,6 +521,21 @@ class TestAdaptive:
         ls = LimitState(1, lambda x: 1.0 if x[0] > 0 else -1.0)
         model = pce_adaptive(ls, rv, target_err=1e-4, p_max=3, seed=22)
         assert model.diagnostics["converged"] is False
+
+    def test_estimate_counts_every_design_of_the_loop(self):
+        # degrees 1 to 3 grow one design to 4, 6, then 8 points
+        rv = standard_normal_vector(1)
+        ls = LimitState(1, lambda x: 1.0 if x[0] > 0 else -1.0)
+        ledger = EvalLedger()
+        ledger.record(5)
+        opts = dict(target_error=1e-4, p_max=3, n_surrogate=1000, seed=22)
+        res = pce_estimate(ls, rv, ledger=ledger, **opts)
+        fit = res.extras["fit"]
+        assert fit["converged"] is False
+        # the best fit was at degree 2, whose design had only 6 points
+        assert (fit["degree"], fit["n_true_calls"]) == (2, 6)
+        assert res.n_calls == 8 and ledger.count == 13
+        assert pce_estimate(ls, rv, **opts).to_dict() == res.to_dict()
 
 
 class TestStabilityInvariants:

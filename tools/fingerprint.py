@@ -23,6 +23,10 @@ change and where it is, and the paths of any other values that differ
   pf_epsilon at n = 2.5e5;
 * the ``reliakit compare`` CSV on ``perfbench/compare_physical.json`` at
   seed 0;
+* the ``reliakit run`` JSON of every method, with the ``pce``
+  ``target_error`` path and the ``is`` ``gaussian_centered`` instrumental,
+  on the 3-D linear benchmark (beta 2.5) at seed 1 and small sizes, each
+  with its exit code and its summary line;
 * the shared Monte Carlo sweep at n = 250,001 (three blocks, the last one
   partial): pf and CoV of crude MC on four-branch, and of ``pce_pf`` on a
   degree-3 PCE of the compare problem;
@@ -48,6 +52,8 @@ It takes well under a minute on a two-core machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import re
@@ -139,7 +145,7 @@ def _metais_prebuilt() -> dict:
     ls = benchmark_waarts()
     pts = initial_design(rv, 30, seed=2)
     model = krig_build(ExperimentalDesign(pts, evaluate_batch(ls, pts)), "constant",
-                       _squared_exponential((1.5, 1.5)))
+                       CorrelationKernel((1.5, 1.5)))
     return metais_estimate(ls, rv, n_corr=200, model=model, seed=3).to_dict()
 
 
@@ -166,6 +172,41 @@ def _compare_csv(spec: dict) -> list[str]:
         out = Path(tmp) / "compare.csv"
         code = cli.main(["compare", "--config", str(cfg), "--seed", "0", "--output", str(out)])
         return [f"exit {code}"] + out.read_text().splitlines()
+
+
+_RUN_METHODS = {
+    "mc": {"name": "mc", "n": 20_000},
+    "is": {"name": "is", "n": 5000},
+    "is_gaussian_centered": {
+        "name": "is",
+        "n": 5000,
+        "instrumental": {"type": "gaussian_centered", "center": [1.44, 1.44, 1.44]},
+    },
+    "fosm": {"name": "fosm"},
+    "form": {"name": "form"},
+    "qrs": {"name": "qrs", "n_surrogate": 100_000},
+    "pce": {"name": "pce", "n_surrogate": 100_000},
+    "pce_target_error": {"name": "pce", "target_error": 0.01, "p_max": 4, "n_surrogate": 100_000},
+    "ak": {"name": "ak", "n_pool": 5000, "n_bounds": 100_000},
+    "metais": {
+        "name": "metais", "n_epsilon": 20_000, "n_corr": 100, "budget": 40, "n_bounds": 10_000,
+    },
+}
+
+
+def _cli_run() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, res = Path(tmp) / "run.json", Path(tmp) / "result.json"
+        problem = {"benchmark": "linear", "beta0": 2.5, "dimension": 3}
+        for label, method in _RUN_METHODS.items():
+            cfg.write_text(json.dumps({"problem": problem, "method": method}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["run", "--config", str(cfg), "--seed", "1", "--output", str(res)])
+            record = json.loads(res.read_text())
+            out[label] = {"exit": code, "stderr": err.getvalue(), "record": record}
+    return out
 
 
 def _sweeps(spec: dict) -> dict:
@@ -243,29 +284,11 @@ def _pce_predict(spec: dict) -> dict:
     }
 
 
-def _squared_exponential(theta) -> CorrelationKernel:
-    # Earlier versions of the package named the kernel kind before the
-    # lengthscales; accepting both keeps the script runnable on either side.
-    try:
-        return CorrelationKernel(theta)
-    except TypeError:
-        return CorrelationKernel("squared_exponential", theta)
-
-
-def _sample_with_record(model, rv, n, seed):
-    # Earlier versions returned the sampler record only on request; asking
-    # for it when the option exists keeps the script runnable on either side.
-    try:
-        return sample_instrumental(model, rv, n, seed=seed, return_stats=True)
-    except TypeError:
-        return sample_instrumental(model, rv, n, seed=seed)
-
-
 def _instrumental_draws(ls, rv, n_design) -> dict:
     pts = initial_design(rv, n_design, seed=1)
     design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
-    model = krig_build(design, "linear", _squared_exponential((2.0,) * rv.dimension))
-    xs, stats = _sample_with_record(model, rv, 50, seed=31)
+    model = krig_build(design, "linear", CorrelationKernel((2.0,) * rv.dimension))
+    xs, stats = sample_instrumental(model, rv, 50, seed=31)
     return {"draws": xs, "stats": stats}
 
 
@@ -356,6 +379,7 @@ def main(argv=None) -> int:
         "metais_prebuilt": _metais_prebuilt(),
         "akmcs": _akmcs(),
         "compare_csv": _compare_csv(spec),
+        "cli_run": _cli_run(),
         "sweeps": _sweeps(spec),
         "gradient_compare": _gradient_methods(*cli._build_problem(spec["problem"])),
         "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
