@@ -75,8 +75,10 @@ def _sweep(rv: RandomVector, f, n: int, seed) -> tuple[list[float], list[float]]
     ``f`` maps a block of rows to one value per row, or to J rows of such
     values; the result lists one mean and one CoV per row of f.  The draws
     come in blocks of at most 100,000 rows from one generator in order, so
-    a seed gives the same draws whatever n is and memory stays bounded by
-    one block.  Block sums are compensated across blocks.  Raises
+    a seed gives the same draws in every whole block whatever n is, and
+    memory stays bounded by one block.  A partial last block differs only
+    in the columns ``RandomVector.sample`` draws directly, which depend on
+    its size.  Block sums are compensated across blocks.  Raises
     ``ValueError`` when n < 1.
     """
     if n < 1:

@@ -10,6 +10,8 @@ is the cost meter for every estimator in the package.
 from __future__ import annotations
 
 import ast
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -226,20 +228,101 @@ def benchmark_linear(beta0: float, direction=None, dimension: int | None = None)
     )
 
 
+def _reduce(ufunc, *args):  # min(a, b, ...) or min((a, b, ...))
+    items = args[0] if len(args) == 1 and isinstance(args[0], tuple) else args
+    return functools.reduce(ufunc, items)
+
+
+# numpy's ufuncs, each taking one argument as math's functions do (numpy
+# would take a second one as its output array)
 _ALLOWED_FUNCS = {
-    "min": min,
-    "max": max,
-    "sqrt": math.sqrt,
-    "exp": math.exp,
-    "log": math.log,
-    "abs": abs,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "atan": math.atan,
+    "min": functools.partial(_reduce, np.minimum),
+    "max": functools.partial(_reduce, np.maximum),
+    "sqrt": lambda x: np.sqrt(x),
+    "exp": lambda x: np.exp(x),
+    "log": lambda x, base=None: np.log(x) if base is None else np.log(x) / np.log(base),
+    "abs": lambda x: np.abs(x),
+    "sin": lambda x: np.sin(x),
+    "cos": lambda x: np.cos(x),
+    "tan": lambda x: np.tan(x),
+    "atan": lambda x: np.arctan(x),
     "pi": math.pi,
     "e": math.e,
 }
+
+_COMPARISONS = {"Lt": np.less, "LtE": np.less_equal, "Gt": np.greater, "GtE": np.greater_equal}
+_EVAL_ERRORS = (ArithmeticError, ValueError, TypeError, RecursionError)
+
+
+def _power(base, exponent):
+    try:
+        return np.power(base, exponent)
+    except FloatingPointError as exc:
+        if np.any((np.asarray(base) < 0.0) & (np.asarray(exponent) % 1.0 != 0.0)):
+            raise ValueError(f"the expression has no real value: {exc}") from None
+        raise
+
+
+def _compare(ops, left, *rest):
+    """A chained comparison: 1.0 on the rows where it holds, 0.0 elsewhere."""
+    fs, cols = rest[: len(ops)], rest[len(ops) :]
+    out = np.zeros(cols[0].shape[0])
+    rows = np.arange(out.size)
+    for op, f in zip(ops, fs):
+        if rows.size:
+            right = np.broadcast_to(f(*cols), rows.shape)
+            held = _COMPARISONS[op](left, right)
+            rows, cols, left = rows[held], tuple(c[held] for c in cols), right[held]
+    out[rows] = 1.0
+    return out
+
+
+def _if(test, body, orelse, *cols):
+    t = np.broadcast_to(np.asarray(test) != 0.0, cols[0].shape[:1])
+    out = np.empty(t.shape)
+    for rows, branch in ((t, body), (~t, orelse)):
+        if rows.any():
+            out[rows] = branch(*(c[rows] for c in cols))
+    return out
+
+
+def _columnwise(node, variables):
+    """A power, comparison or conditional as a call of its helper above, or None.
+
+    An operand that Python may skip becomes a function of the columns that the
+    helper calls on the rows that reach it; the zero-width ``__rows`` counts them.
+    """
+
+    def at(cls, **fields):  # compile needs a position on every node
+        return cls(**fields, lineno=1, col_offset=0, end_lineno=1, end_col_offset=0)
+
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        helper, args, lazy = "__power", [node.left, node.right], []
+    elif isinstance(node, ast.Compare):
+        ops = at(ast.Constant, value=tuple(type(op).__name__ for op in node.ops))
+        helper, args, lazy = "__compare", [ops, node.left], node.comparators
+    elif isinstance(node, ast.IfExp):
+        helper, args, lazy = "__if", [node.test], [node.body, node.orelse]
+    else:
+        return None
+    if lazy:
+        used = {n.id for e in lazy for n in ast.walk(e) if isinstance(n, ast.Name)}
+        names = ("__rows", *sorted(used & variables))
+        sig = ast.arguments(posonlyargs=[], args=[at(ast.arg, arg=v) for v in names],
+                            kwonlyargs=[], kw_defaults=[], defaults=[])
+        args += [at(ast.Lambda, args=sig, body=e) for e in lazy]
+        args += [at(ast.Name, id=v, ctx=ast.Load()) for v in names]
+    return at(ast.Call, func=at(ast.Name, id=helper, ctx=ast.Load()), args=args, keywords=[])
+
+
+def _fails(run, xs: np.ndarray):
+    """The error that ``run`` raises on xs, or None."""
+    try:
+        run(xs)
+    except _EVAL_ERRORS as exc:
+        return exc
+    return None
+
 
 _ALLOWED_NODES = (
     ast.Expression,
@@ -280,6 +363,11 @@ def limit_state_from_expression(
     the functions min/max/sqrt/exp/log/abs/sin/cos/tan/atan plus constants
     pi and e.  Extra named constants come from ``params``.  Anything else
     (attributes, subscripts, imports, ...) is rejected at build time.
+
+    A batch is evaluated on numpy columns: a comparison gives 1.0 or 0.0, and
+    an operand that Python would skip is evaluated only on the other rows.  An
+    error (no real value, overflow, ...) names the first failing row; an
+    underflow gives 0.0, as for Python floats.
     """
     src = expression.replace("^", "**").replace("×", "*").replace("÷", "/")
     try:
@@ -306,25 +394,39 @@ def limit_state_from_expression(
             if not isinstance(node.value, (int, float)):
                 raise ModelError(f"non-numeric constant {node.value!r} in expression")
             node.value = float(node.value)
+    # children before parents, and without recursion: a long sum nests one node per term
+    for parent in reversed(list(ast.walk(tree))):
+        for fieldname, value in ast.iter_fields(parent):
+            if isinstance(value, list):
+                value[:] = [_columnwise(v, var_names.keys()) or v for v in value]
+            elif isinstance(value, ast.AST):
+                setattr(parent, fieldname, _columnwise(value, var_names.keys()) or value)
     try:
         code = compile(tree, "<limit-state>", "eval")
     except RecursionError:  # a sum of a few thousand terms nests one node per term
         raise ModelError("expression is too long or too deeply nested to compile") from None
-    base_env = dict(_ALLOWED_FUNCS)
-    base_env.update(params)
+    env = {"__builtins__": {}, **_ALLOWED_FUNCS, **params, "__power": _power,
+           "__compare": _compare, "__if": _if}
 
-    def scalar(x: np.ndarray) -> float:
-        env = dict(base_env)
-        for nm, idx in var_names.items():
-            env[nm] = float(x[idx])
+    def run(xs: np.ndarray) -> np.ndarray:
+        cols = {nm: xs[:, i] for nm, i in var_names.items()}
+        # Python floats underflow to zero silently, and so do these columns
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            out = eval(code, {**env, **cols, "__rows": np.empty((xs.shape[0], 0))})
+        return np.full(xs.shape[0], out) if np.ndim(out) == 0 else out
+
+    def vector(xs: np.ndarray) -> np.ndarray:
         try:
-            return float(eval(code, {"__builtins__": {}}, env))
-        except TypeError as exc:  # a complex value, e.g. a negative base to a fractional power
-            raise ValueError(f"the expression has no real value: {exc}") from None
+            return run(xs) if xs.shape[0] else np.empty(0)  # no row, nothing evaluated
+        except _EVAL_ERRORS as exc:
+            # the first failing row ends the shortest failing prefix: O(log n) passes
+            n = xs.shape[0]
+            i = bisect.bisect_left(range(n), True, key=lambda k: bool(_fails(run, xs[: k + 1])))
+            raise ValueError(f"row {i}: {xs[i]!r}: {_fails(run, xs[i : i + 1]) or exc}") from exc
 
     return LimitState(
         dimension=dimension,
-        evaluator=scalar,
         name=name,
         fixed_params=params,
+        vector_evaluator=vector,
     )

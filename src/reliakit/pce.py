@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -177,8 +177,15 @@ def truncation_set(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices of total degree <= p in graded lexicographic order."""
     if m < 1 or p < 0:
         raise ValueError("need m >= 1 and p >= 0")
-    idx = [a for a in iter_product(range(p + 1), repeat=m) if sum(a) <= p]
-    idx.sort(key=lambda a: (sum(a), tuple(-c for c in a)))
+    if m == 1:
+        return tuple((d,) for d in range(p + 1))
+    idx = []
+    for d in range(p + 1):
+        # an index of degree d is m - 1 bars among d + m - 1 slots, and the
+        # lexicographic order of the bars is that of the index, reversed here
+        for bars in reversed(list(combinations(range(d + m - 1), m - 1))):
+            edges = (-1, *bars, d + m - 1)
+            idx.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
     return tuple(idx)
 
 

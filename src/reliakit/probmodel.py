@@ -261,9 +261,16 @@ class RandomVector:
         self._check_dim(pts)
         if not np.isfinite(pts).all():
             raise DomainError("standard-space point has non-finite components")
-        z = pts @ self._chol.T if self._chol is not None else pts
+        return self._physical(pts)
+
+    def _physical(self, u: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """x from standard normal rows u; with ``rng``, the free columns are drawn from it."""
+        z = u @ self._chol.T if self._chol is not None else u
         x = np.empty_like(z)
+        free = self._free if rng is not None else ()
         for i, marg in enumerate(self.marginals):
+            if i in free:
+                continue
             p = marg.params
             if marg.family == "gaussian":
                 x[:, i] = p[0] + p[1] * z[:, i]
@@ -273,9 +280,23 @@ class RandomVector:
                 x[:, i] = p[0] + (p[1] - p[0]) * ndtr(z[:, i])
             else:
                 x[:, i] = marg.quantile(ndtr(z[:, i]))
+        for i in free:  # drawn after u, so that the other columns keep their draws
+            p, n = self.marginals[i].params, x.shape[0]
+            if self.marginals[i].family == "gamma":
+                x[:, i] = rng.gamma(p[0], p[1], n)
+            else:
+                x[:, i] = p[2] + (p[3] - p[2]) * rng.beta(p[0], p[1], n)
         if not np.all(np.isfinite(x)):
             raise OverflowError("inverse transform overflowed the marginal range")
         return x
+
+    @cached_property
+    def _free(self) -> tuple[int, ...]:
+        """The beta and gamma columns that the copula leaves independent of the others."""
+        c = np.eye(self.dimension) if self.correlation is None else self.correlation
+        lone = np.count_nonzero(c, axis=0) + np.count_nonzero(c, axis=1) == 2  # the diagonal only
+        families = [marg.family for marg in self.marginals]
+        return tuple(i for i, f in enumerate(families) if f in ("beta", "gamma") and lone[i])
 
     # -- densities ---------------------------------------------------------
 
@@ -329,7 +350,10 @@ class RandomVector:
         """Draw n rows of X.
 
         ``scheme``:
-          * ``"monte_carlo"`` -- independent draws.
+          * ``"monte_carlo"`` -- independent draws: ``from_standard`` of an
+            (n, M) block of standard normals, except that a beta or gamma
+            column left independent by the correlation is then drawn by
+            numpy's own generator (exact in law, no inverse CDF).
           * ``"latin_hypercube"`` -- one point in each of the n equiprobable
             strata of every marginal; for correlated inputs the
             stratification applies to the independent copula coordinates.
@@ -341,8 +365,7 @@ class RandomVector:
         rng = make_rng(seed)
         m = self.dimension
         if scheme == "monte_carlo":
-            u = rng.standard_normal((n, m))
-            return self.from_standard(u)
+            return self._physical(rng.standard_normal((n, m)), rng)
         if scheme == "latin_hypercube":
             p = _latin_hypercube(rng, n, m)
             if self.is_independent:

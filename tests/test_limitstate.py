@@ -1,10 +1,15 @@
 """Limit-state wrappers, benchmarks, designs and the expression parser."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reliakit
 from reliakit import (
     EvalLedger,
     ExperimentalDesign,
@@ -233,7 +238,97 @@ class TestExpressionParser:
         pts = np.array([[6.0], [9.0], [1.0], [7.0]])
         with pytest.raises(ModelError, match="row 2.*no real value"):
             evaluate_batch(ls, pts, ledger=ledger)
-        assert ledger.count == 3
+        assert ledger.count == 4
+
+
+def _row_by_row(expr: str, xs: np.ndarray, params: dict) -> np.ndarray:
+    """Python's own eval of the expression on each row, with math's functions."""
+    env = {"min": min, "max": max, "abs": abs, "sqrt": math.sqrt, "exp": math.exp,
+           "log": math.log, "sin": math.sin, "cos": math.cos, "tan": math.tan,
+           "atan": math.atan, "pi": math.pi, "e": math.e, **params}
+    code = compile(expr.replace("^", "**"), "<oracle>", "eval")
+    return np.array([
+        float(eval(code, {"__builtins__": {}}, {**env, **{f"x{i + 1}": v for i, v in enumerate(row)}}))
+        for row in xs.tolist()
+    ])
+
+
+class TestVectorExpression:
+    ROWS = np.random.default_rng(27).normal(size=(1000, 3)) * [2.0, 1.0, 3.0]
+    PARAMS = {"k": 2.5, "c": -0.75}
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "x1 + 2*x2 - x3 / 3 * (x1 - c)",
+            "x1 % 0.7 - x2 % -1.3",
+            "-x1 + -(x2 < 0) - +x3",
+            "(0 < x1 < 1) + (x1 <= x2 >= x3 > -1)",
+            "x1 if x2 > 0 else x3 * k",
+            "min(x1, x2, x3) + max((x1, x2, x3)) - max(x1, k) * min((x2,))",
+            "abs(x3) + sqrt(abs(x1))",
+            "pi * x1 + e * k",
+            "2 * pi - k",
+        ],
+    )
+    def test_bit_equal_to_python_row_by_row(self, expr):
+        ls = limit_state_from_expression(expr, 3, params=self.PARAMS)
+        got = evaluate_batch(ls, self.ROWS)
+        assert got.shape == (1000,)
+        np.testing.assert_array_equal(got, _row_by_row(expr, self.ROWS, self.PARAMS))
+
+    # numpy's exp, log, trig and power (SIMD, and x*x for x^2) are not glibc's
+    @pytest.mark.parametrize(
+        "expr",
+        ["exp(x1 / 2)", "log(abs(x2) + 1)", "log(abs(x2) + 2, 10)", "sin(x3)", "cos(x1)",
+         "tan(x2 / 2)", "atan(x3)", "x1^2", "abs(x2)^0.5", "x3^3", "abs(x1)^x2"],
+    )
+    def test_within_one_ulp_of_python_row_by_row(self, expr):
+        ls = limit_state_from_expression(expr, 3)
+        want = _row_by_row(expr, self.ROWS, {})
+        got = evaluate_batch(ls, self.ROWS)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "expr", ["sqrt(x1) if x1 > 0 else -x1", "x1 if x1 <= 0 else log(x1)", "x1 > 0 < log(x1) + 9"]
+    )
+    def test_untaken_branch_is_not_evaluated(self, expr):
+        ls = limit_state_from_expression(expr, 1)
+        xs = np.array([[-4.0], [0.0], [2.0], [-1.0]])
+        np.testing.assert_array_equal(evaluate_batch(ls, xs), _row_by_row(expr, xs, {}))
+
+    def test_underflow_is_zero_as_for_python_floats(self):
+        assert math.exp(-800) == 0.0
+        ls = limit_state_from_expression("exp(x1 - 800) + x1 * 1e-300 * 1e-300", 1)
+        np.testing.assert_array_equal(evaluate_batch(ls, np.array([[0.0], [1.0]])), [0.0, 0.0])
+
+    def test_longest_sum_that_compiles(self):
+        # the compiler's depth limit counts the caller's frames, so run at top level
+        script = (
+            "import numpy as np\n"
+            "from reliakit import ModelError, evaluate_batch, limit_state_from_expression as f\n"
+            "xs = np.array([[1.0], [0.25], [-2.0]])\n"
+            "assert evaluate_batch(f(' + '.join(['x1'] * 997), 1), xs).tolist() == [997.0, 249.25, -1994.0]\n"
+            "try:\n"
+            "    f(' + '.join(['x1'] * 998), 1)\n"
+            "except ModelError as exc:\n"
+            "    assert 'too long' in str(exc)\n"
+            "else:\n"
+            "    raise AssertionError('998 terms compiled')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(reliakit.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_error_names_the_first_failing_row_and_its_own_error(self):
+        # the whole batch fails first at log, on row 700; row 500 fails only at exp
+        xs = np.ones((1000, 2))
+        xs[500, 1], xs[700, 0] = 1000.0, -1.0
+        ledger = EvalLedger()
+        with pytest.raises(ModelError, match=r"row 500: array\(\[ *1\., 1000\.\]\): overflow"):
+            evaluate_batch(limit_state_from_expression("log(x1) + exp(x2)", 2), xs, ledger)
+        assert ledger.count == 1000
 
 
 def test_fixed_params_recorded():

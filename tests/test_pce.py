@@ -1,12 +1,18 @@
 """Orthonormal polynomial bases and chaos expansions."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import reliakit
 from reliakit import (
     EvalLedger,
     ExperimentalDesign,
@@ -145,6 +151,28 @@ class TestTruncation:
         idx = truncation_set(3, 4)
         assert len(set(idx)) == len(idx)
         assert all(sum(a) <= 4 for a in idx)
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_same_as_the_filtered_tensor_grid(self, m):
+        def brute_force(p):
+            idx = [a for a in itertools.product(range(p + 1), repeat=m) if sum(a) <= p]
+            return tuple(sorted(idx, key=lambda a: (sum(a), tuple(-c for c in a))))
+
+        p_max = 0
+        while (p_max + 2) ** m <= 100_000:
+            p_max += 1
+        # the set of degree <= p is the first C(m + p, p) indices of the largest
+        want = brute_force(p_max)
+        for p in sorted({*range(min(p_max, 12) + 1), p_max}):
+            assert truncation_set(m, p) == want[: math.comb(m + p, p)], p
+
+    def test_many_dimensions_without_the_tensor_grid(self):
+        # the grid would hold 4^30 tuples
+        script = "from reliakit import truncation_set; assert len(truncation_set(30, 3)) == 5456"
+        env = dict(os.environ, PYTHONPATH=str(Path(reliakit.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMultivariateBasis:
@@ -450,7 +478,7 @@ class TestGermSweep:
         assert 0 < nf < self.N
         assert res.pf == nf / self.N
         # the same rows as the physical draws they are mapped to
-        x = rv.sample(self.N, seed=18)
+        x = rv.from_standard(u)
         assert nf == np.count_nonzero(model.predict(x) <= 0.0)
 
     def test_germ_predictions_match_physical_round_trip(self):

@@ -1,13 +1,23 @@
 """Marginals, joint models, transforms and sampling."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from reliakit import Marginal, ModelError, DomainError, RandomVector, standard_normal_vector
+from reliakit import (
+    DomainError,
+    Marginal,
+    ModelError,
+    RandomVector,
+    cli,
+    estimate_mc,
+    standard_normal_vector,
+)
 
 
 def mixed_vector():
@@ -219,6 +229,78 @@ class TestSampling:
             standard_normal_vector(1).sample(0)
         with pytest.raises(ValueError):
             standard_normal_vector(1).sample(10, scheme="sobol")
+
+
+class TestDirectDraws:
+    """Independent beta and gamma columns come from numpy's own generators."""
+
+    N = 100_000
+
+    @staticmethod
+    def normal_map(rv, n, seed):
+        return rv.from_standard(np.random.default_rng(seed).standard_normal((n, rv.dimension)))
+
+    def free_vector(self):
+        corr = np.eye(5)
+        corr[0, 4] = corr[4, 0] = 0.4
+        return RandomVector(
+            (
+                Marginal.gaussian(1.0, 2.0),
+                Marginal.beta(8.0, 2.0, -1.0, 3.0),
+                Marginal.gamma(4.0, 0.5),
+                Marginal.uniform(-1.0, 3.0),
+                Marginal.lognormal(0.3, 0.8),
+            ),
+            corr,
+        )
+
+    def test_free_columns_follow_their_marginals(self):
+        rv = self.free_vector()
+        assert rv._free == (1, 2)
+        x = rv.sample(self.N, seed=7)
+        for j in rv._free:
+            assert stats.kstest(x[:, j], rv.marginals[j].cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 1000, 100_000])
+    def test_other_columns_keep_the_normal_stream(self, n):
+        rv = self.free_vector()
+        x, want = rv.sample(n, seed=8), self.normal_map(rv, n, 8)
+        np.testing.assert_array_equal(x[:, [0, 3, 4]], want[:, [0, 3, 4]])
+        assert not np.array_equal(x[:, [1, 2]], want[:, [1, 2]])
+
+    def test_coupled_columns_keep_the_inverse_cdf(self):
+        corr = np.eye(4)
+        corr[0, 1] = corr[1, 0] = 0.3
+        corr[2, 3] = corr[3, 2] = -0.2
+        rv = RandomVector(
+            (
+                Marginal.beta(2.0, 5.0, 0.0, 10.0),
+                Marginal.gaussian(0.0, 1.0),
+                Marginal.gamma(2.0, 1.5),
+                Marginal.lognormal(0.3, 0.8),
+            ),
+            corr,
+        )
+        assert rv._free == ()
+        np.testing.assert_array_equal(rv.sample(5000, seed=9), self.normal_map(rv, 5000, 9))
+        gaussian = standard_normal_vector(3)
+        np.testing.assert_array_equal(gaussian.sample(5000, seed=9), self.normal_map(gaussian, 5000, 9))
+
+    def test_compare_problem_mc_matches_its_reference(self):
+        config = Path(__file__).resolve().parents[1] / "perfbench" / "compare_physical.json"
+        spec = json.loads(config.read_text())
+        ls, rv = cli._build_problem(spec["problem"])
+        assert rv._free == (1, 2)
+        ref = spec["reference"]["pf"]
+        pfs, sigmas = [], []
+        for seed in range(1, 11):
+            res = estimate_mc(ls, rv, 200_000, seed=seed)
+            sigma = res.pf * res.cov
+            assert abs(res.pf - ref) <= 4.0 * sigma, (seed, res.pf)
+            pfs.append(res.pf)
+            sigmas.append(sigma)
+        pooled_sigma = math.sqrt(sum(s * s for s in sigmas)) / len(sigmas)
+        assert abs(sum(pfs) / len(pfs) - ref) <= 2.0 * pooled_sigma
 
 
 def test_moment_helpers():

@@ -44,7 +44,13 @@ change and where it is, and the paths of any other values that differ
   that lock-step chains supply the draws: an exact linear surrogate at
   beta = 4.5 in standard normal space (one chain, with burn-in), and a
   linear surrogate on correlated non-gaussian inputs (eleven chains, whose
-  starts and states are mapped between the spaces under a correlation).
+  starts and states are mapped between the spaces under a correlation);
+* ``evaluate_batch`` of one expression limit state per kind of node the
+  parser accepts (arithmetic, ``%``, ``^``, unary minus, chained
+  comparisons, a conditional, ``min``/``max`` with three arguments and with
+  a tuple, each function, named parameters, ``pi``/``e``, and a constant)
+  on 500 seeded rows, so that a last-bit move of a numpy ufunc against
+  ``math`` shows up.
 
 It takes well under a minute on a two-core machine.
 """
@@ -88,6 +94,7 @@ from reliakit import (  # noqa: E402
     krig_fit,
     krig_pf_bounds,
     krig_predict_batch,
+    limit_state_from_expression,
     metais_estimate,
     pce_fit_regression,
     pce_pf,
@@ -307,6 +314,31 @@ def _rare_instrumental() -> dict:
     }
 
 
+_EXPRESSIONS = {
+    "arithmetic": "x1 + 2*x2 - x3 / 3 * (x1 - k)",
+    "mod": "x1 % 0.7 - x2 % -1.3",
+    "power": "x1^2 + abs(x2)^0.5 + abs(x3)^1.7 - abs(x1)^x2",
+    "unary_minus": "-x1 + -(x2 < 0) - +x3",
+    "chained_comparison": "(0 < x1 < 1) + (x1 <= x2 >= x3 > -1)",
+    "conditional": "sqrt(x1) if x1 > 0 else x3 * k",
+    "min_max": "min(x1, x2, x3) + max((x1, x2, x3))",
+    "sqrt_abs": "sqrt(abs(x1)) + abs(x2)",
+    "exp": "exp(x1 / 2)",
+    "log": "log(abs(x2) + 1) + log(abs(x3) + 2, 10)",
+    "trig": "sin(x3) + cos(x1) + tan(x2 / 2) + atan(x3)",
+    "constants": "pi * x1 + e * k",
+    "constant_only": "2 * pi - k",
+}
+
+
+def _expressions() -> dict:
+    xs = np.random.default_rng(27).normal(size=(500, 3)) * [2.0, 1.0, 3.0]
+    return {
+        label: evaluate_batch(limit_state_from_expression(expr, 3, params={"k": 2.5}), xs)
+        for label, expr in _EXPRESSIONS.items()
+    }
+
+
 _HEX_FLOAT = re.compile(r"-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[+-]\d+|inf|nan)")
 
 
@@ -387,6 +419,7 @@ def main(argv=None) -> int:
         "pce_maps": _pce_maps(),
         "pce_predict": _pce_predict(spec),
         "rare_instrumental": _rare_instrumental(),
+        "expression": _expressions(),
     }
     json.dump(_hex(doc), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
