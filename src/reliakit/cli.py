@@ -323,7 +323,13 @@ def _run_method(ls: LimitState, rv: RandomVector, method: dict, seed: int) -> di
     """Run one configured method; options left out take the library defaults."""
     opts = _typed_options(method)
     call = _METHODS[method["name"]]
-    return call(ls, rv, seed=make_rng(seed), ledger=EvalLedger(), **opts).to_dict()
+    try:
+        result = call(ls, rv, seed=make_rng(seed), ledger=EvalLedger(), **opts)
+    except _NUMERICAL_ERRORS:
+        raise
+    except ValueError as exc:  # an option the schema admits but the method rejects
+        raise ConfigError(str(exc)) from None
+    return result.to_dict()
 
 
 def _summary_line(doc: dict) -> str:

@@ -96,18 +96,32 @@ class CorrelationKernel:
 
 def _scaled_powers(kernel: CorrelationKernel, a: np.ndarray, b: np.ndarray):
     """Yield (|a_k - b_k| / theta_k)^power for rows a (n, M), b (m, M): one (n, m) array per k."""
+    bt = np.ascontiguousarray(b.T)  # contiguous columns of b
     for k, t in enumerate(kernel.theta):
-        h = np.abs(np.subtract.outer(a[:, k], b[:, k]))
+        h = np.subtract.outer(a[:, k], bt[k])
         h /= t
-        h **= kernel.power
+        if kernel.power == 2.0:
+            np.multiply(h, h, out=h)
+        else:
+            np.abs(h, out=h)
+            h **= kernel.power
         yield h
+
+
+def _exp_neg_sum(terms) -> np.ndarray:
+    """exp(-sum of terms), added in order into the first term and taken in place."""
+    terms = iter(terms)
+    acc = next(terms)
+    for h in terms:
+        acc += h
+    return np.exp(np.negative(acc, out=acc), out=acc)
 
 
 def kernel_cross(kernel: CorrelationKernel, a, b) -> np.ndarray:
     """Correlation matrix between the rows of a (n, M) and b (m, M), summed in dimension order."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    return np.exp(-sum(_scaled_powers(kernel, a, b)))
+    return _exp_neg_sum(_scaled_powers(kernel, a, b))
 
 
 def kernel_matrix(kernel: CorrelationKernel, points, nugget: float = 0.0) -> np.ndarray:
@@ -223,7 +237,7 @@ def _profiled_objective_grad(design, trend, kernel) -> tuple[float, np.ndarray]:
     1e30 with a zero gradient.
     """
     terms = list(_scaled_powers(kernel, design.points, design.points))
-    r0 = np.exp(-sum(terms))
+    r0 = _exp_neg_sum([terms[0].copy(), *terms[1:]])
     try:
         model = _build(design, trend, kernel, r0)
     except (ConditioningError, FitError):

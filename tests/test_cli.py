@@ -278,6 +278,29 @@ class TestConfigValidation:
         assert "cannot write output" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "method",
+        [{"name": "ak", "budget": 5}, {"name": "metais", "budget": 3}],
+        ids=["ak", "metais"],
+    )
+    def test_budget_below_initial_design_exits_two(self, tmp_path, capsys, monkeypatch, method):
+        # the schema admits the budget; the method rejects it before any call
+        ledgers = []
+
+        class RecordingLedger(reliakit.EvalLedger):
+            def __init__(self):
+                super().__init__()
+                ledgers.append(self)
+
+        monkeypatch.setattr(reliakit.cli, "EvalLedger", RecordingLedger)
+        cfg = write_config(tmp_path, {"problem": {"benchmark": "waarts"}, "method": method})
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: budget")
+        assert "below the initial design size" in err
+        assert "Traceback" not in err
+        assert [ledger.count for ledger in ledgers] == [0]
+
+    @pytest.mark.parametrize(
         "expression",
         [
             "+".join(["x1"] * 2_000),  # RecursionError while compiling

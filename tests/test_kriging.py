@@ -97,6 +97,30 @@ class TestKernel:
             expected[i, j] = math.exp(-s)
         np.testing.assert_allclose(kernel_cross(k, a, b), expected, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (48, 20_000)], ids=str)
+    @pytest.mark.parametrize("power", [2.0, 1.5, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_bit_identical_to_reference_expression(self, m, power, shape):
+        # the in-place kernel must give the bits of the plain expression: a
+        # fingerprinted fit or sweep moves whenever one correlation does
+        n_a, n_b = shape
+        rng = np.random.default_rng([m, n_b])
+        k = CorrelationKernel(tuple(rng.uniform(0.3, 3.0, m)), power)
+        a = rng.normal(size=(n_a, m))
+        big = rng.normal(size=(2 * n_b, m))
+        layouts = {"C": big[:n_b].copy(), "F": np.asfortranarray(big[:n_b]), "strided": big[::2]}
+        for layout, b in layouts.items():
+            a0, b0 = a.copy(), b.copy()
+            expected = np.exp(
+                -sum(
+                    (np.abs(np.subtract.outer(a[:, i], b[:, i])) / t) ** power
+                    for i, t in enumerate(k.theta)
+                )
+            )
+            np.testing.assert_array_equal(kernel_cross(k, a, b), expected, err_msg=layout)
+            np.testing.assert_array_equal(a, a0)
+            np.testing.assert_array_equal(b, b0)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             CorrelationKernel((-1.0,))

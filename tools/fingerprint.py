@@ -31,6 +31,10 @@ change and where it is, and the paths of any other values that differ
   partial): pf and CoV of crude MC on four-branch, and of ``pce_pf`` on a
   degree-3 PCE of the compare problem;
 * FORM and FOSM on the compare problem and on four-branch;
+* ``kernel_cross`` alone on seeded blocks of 48 by 20,000 rows (2-D at
+  power 2, 6-D at power 1.5, 1-D at power 1): the sum, the first and the
+  last entry, so that a kernel edit shows its roundoff in one entry before
+  it spreads through the fits and sweeps;
 * ``krig_fit`` on seeded 3-D and 6-D designs at kernel powers 2 and 1.5:
   lengthscales, objective, and the sums of mean and deviation over 1,000
   predicted rows;
@@ -90,6 +94,7 @@ from reliakit import (  # noqa: E402
     evaluate_batch,
     form,
     initial_design,
+    kernel_cross,
     krig_build,
     krig_fit,
     krig_pf_bounds,
@@ -225,6 +230,16 @@ def _sweeps(spec: dict) -> dict:
         "mc_four_branch": {"pf": mc.pf, "cov": mc.cov, "n_failures": mc.extras["n_failures"]},
         "pce_compare": {"pf": pce.pf, "cov": pce.cov},
     }
+
+
+def _kernel() -> dict:
+    out = {}
+    for m, power in ((2, 2.0), (6, 1.5), (1, 1.0)):
+        rng = np.random.default_rng(m)
+        kern = CorrelationKernel(tuple(rng.uniform(0.3, 3.0, m)), power)
+        r = kernel_cross(kern, rng.normal(size=(48, m)), rng.normal(size=(20_000, m)))
+        out[f"m{m}_power{power}"] = {"sum": np.sum(r), "first": r[0, 0], "last": r[-1, -1]}
+    return out
 
 
 def _kriging_fits_nd() -> dict:
@@ -415,6 +430,7 @@ def main(argv=None) -> int:
         "sweeps": _sweeps(spec),
         "gradient_compare": _gradient_methods(*cli._build_problem(spec["problem"])),
         "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
+        "kernel": _kernel(),
         "kriging_fits_nd": _kriging_fits_nd(),
         "pce_maps": _pce_maps(),
         "pce_predict": _pce_predict(spec),
