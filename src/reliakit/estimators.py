@@ -56,6 +56,11 @@ def _beta(pf: float) -> float:
     return float(-ndtri(pf))
 
 
+def _result_dict(method: str, pf: float, **fields) -> dict:
+    """Plain JSON form of a result: method, pf and beta, then ``fields`` in order."""
+    return _clean({"method": method, "pf": float(pf), "beta": _beta(pf), **fields})
+
+
 def _cov_of_mean(mean: float, second: float, n: int) -> float:
     """CoV of a sample mean from the means of the values and of their squares.
 
@@ -125,15 +130,8 @@ class ReliabilityResult:
         return _beta(self.pf)
 
     def to_dict(self) -> dict:
-        return _clean(
-            {
-                "method": self.method,
-                "pf": float(self.pf),
-                "beta": self.beta,
-                "cov": float(self.cov),
-                "n_calls": int(self.n_calls),
-                "extras": self.extras,
-            }
+        return _result_dict(
+            self.method, self.pf, cov=float(self.cov), n_calls=int(self.n_calls), extras=self.extras
         )
 
 
@@ -238,6 +236,21 @@ class InstrumentalDensity:
         return cls(sampler=sampler, density=density)
 
 
+def _is_weights(g: np.ndarray, f, h: np.ndarray) -> np.ndarray:
+    """Importance weight 1{g <= 0} f / h of each row, 0 where f = h = 0.
+
+    Raises :class:`EstimatorError` naming the first failing row with h <= 0 < f.
+    """
+    fail = g <= 0.0
+    bad = np.flatnonzero(fail & (h <= 0.0) & (f > 0.0))
+    if bad.size:
+        raise EstimatorError(
+            f"failing sample {bad[0]} has zero instrumental density where f > 0; "
+            "the instrumental must cover the failure domain"
+        )
+    return np.divide(f, h, out=np.zeros(g.shape), where=fail & (h > 0.0))
+
+
 @one_blas_thread
 def estimate_is(
     ls: LimitState,
@@ -260,26 +273,15 @@ def estimate_is(
     xs = instrumental.sampler(rng, n)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     g = evaluate_batch(ls, xs, ledger=ledger)
-    fail = g <= 0.0
     h = np.asarray(instrumental.density(xs), dtype=float).reshape(n)
     f = np.asarray(f_density(xs), dtype=float).reshape(n)
-    bad = fail & (h <= 0.0) & (f > 0.0)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise EstimatorError(
-            f"failing sample {i} has zero instrumental density; "
-            "the instrumental must dominate f on the failure domain"
-        )
-    w = np.zeros(n)
-    idx = fail & (h > 0.0)
-    w[idx] = f[idx] / h[idx]
-    pf, cov = _mean_cov(w)
+    pf, cov = _mean_cov(_is_weights(g, f, h))
     return ReliabilityResult(
         pf=pf,
         cov=cov,
         n_calls=n,
         method="is",
-        extras={"n_failures": int(np.count_nonzero(fail))},
+        extras={"n_failures": int(np.count_nonzero(g <= 0.0))},
     )
 
 

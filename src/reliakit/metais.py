@@ -34,7 +34,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .errors import EstimatorError, SamplerError
-from .estimators import _beta, _clean, _mean_cov, _sweep
+from .estimators import _beta, _is_weights, _mean_cov, _result_dict, _sweep
 from .kriging import (
     _BATCH,
     KrigingModel,
@@ -81,23 +81,25 @@ class MetaIsResult:
         return _beta(self.pf)
 
     def to_dict(self) -> dict:
-        return _clean(
-            {
-                "method": "metais",
-                "pf": float(self.pf),
-                "beta": self.beta,
-                "pf_epsilon": float(self.pf_epsilon),
-                "alpha_corr": float(self.alpha_corr),
-                "cov_epsilon": float(self.cov_epsilon),
-                "cov_alpha": float(self.cov_alpha),
-                "cov": float(self.cov_total),
-                "n_calls_doe": int(self.n_model_calls_doe),
-                "n_calls_corr": int(self.n_model_calls_corr),
-                "n_calls": int(self.n_model_calls_doe + self.n_model_calls_corr),
-                "converged": bool(self.converged),
-                "extras": self.extras,
-            }
+        return _result_dict(
+            "metais",
+            self.pf,
+            pf_epsilon=float(self.pf_epsilon),
+            alpha_corr=float(self.alpha_corr),
+            cov_epsilon=float(self.cov_epsilon),
+            cov_alpha=float(self.cov_alpha),
+            cov=float(self.cov_total),
+            n_calls_doe=int(self.n_model_calls_doe),
+            n_calls_corr=int(self.n_model_calls_corr),
+            n_calls=int(self.n_model_calls_doe + self.n_model_calls_corr),
+            converged=bool(self.converged),
+            extras=self.extras,
         )
+
+
+def _pi(model: KrigingModel, xs) -> np.ndarray:
+    """Classification probability pi(x) = P[response at x <= 0] at rows xs."""
+    return classification_probability(*krig_predict_batch(model, xs))
 
 
 @one_blas_thread
@@ -112,8 +114,7 @@ def estimate_pf_epsilon(
     Surrogate-only Monte Carlo: zero true-model calls.  Returns the
     estimate and its coefficient of variation.
     """
-    pi = lambda xs: classification_probability(*krig_predict_batch(model, xs))
-    (mean,), (cov,) = _sweep(rv, pi, n_eps, seed)
+    (mean,), (cov,) = _sweep(rv, lambda xs: _pi(model, xs), n_eps, seed)
     return mean, cov
 
 
@@ -155,14 +156,10 @@ def sample_instrumental(model: KrigingModel, rv: RandomVector, n: int, seed=None
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_rng(seed)
-
-    def pi(xs):
-        return classification_probability(*krig_predict_batch(model, xs))
-
     pts = model.design.points
-    w_d = pi(pts)
+    w_d = _pi(model, pts)
     probe = rv.sample(512, scheme="monte_carlo", seed=rng)
-    w_p = pi(probe)
+    w_p = _pi(model, probe)
     best_d, best_p = float(np.max(w_d)), float(np.max(w_p))
     if max(best_d, best_p) < 1e-12:
         raise SamplerError(
@@ -175,7 +172,7 @@ def sample_instrumental(model: KrigingModel, rv: RandomVector, n: int, seed=None
     limit = _PROPOSALS_PER_DRAW_PER_DIM * rv.dimension
     while accepted < n and drawn <= limit * max(accepted, 1):
         xs = rv.sample(_BATCH, scheme="monte_carlo", seed=rng)
-        hit = xs[rng.random(_BATCH) < pi(xs)]
+        hit = xs[rng.random(_BATCH) < _pi(model, xs)]
         kept.append(hit)
         accepted += hit.shape[0]
         drawn += _BATCH
@@ -191,7 +188,7 @@ def sample_instrumental(model: KrigingModel, rv: RandomVector, n: int, seed=None
     else:
         best = pts[int(np.argmax(w_d))] if best_d >= best_p else probe[int(np.argmax(w_p))]
         starts, burn = best[None, :], 0.2
-    w_standard = lambda u: pi(rv.from_standard(u))
+    w_standard = lambda u: _pi(model, rv.from_standard(u))
     us, chains = pcn_sample(w_standard, rv.to_standard(starts), missing, rng, burn)
     kept.append(rv.from_standard(us))
     return np.concatenate(kept), {"sampler": "chain", **record, **chains}
@@ -207,23 +204,14 @@ def estimate_alpha_corr(
     """Correction factor: average of 1{g <= 0} / pi over instrumental draws.
 
     This is the only place the true model is called; the ledger increments
-    by exactly the number of samples.  A failing sample where pi has
-    underflowed to zero makes the weight undefined and raises
-    :class:`EstimatorError` (the sampler's support guarantee should
-    preclude it).
+    by exactly the number of samples.  The weights are those of importance
+    sampling with f = 1 and h = pi, so a failing sample where pi has
+    underflowed to zero raises :class:`EstimatorError` (the sampler's
+    support guarantee should preclude it).
     """
     xs = np.atleast_2d(np.asarray(samples_from_h, dtype=float))
     g = evaluate_batch(ls, xs, ledger=ledger)
-    pi = classification_probability(*krig_predict_batch(model, xs))
-    fail = g <= 0.0
-    if np.any(fail & (pi <= 0.0)):
-        raise EstimatorError(
-            "a failing correction sample has zero classification "
-            "probability; cannot weight it"
-        )
-    w = np.zeros(xs.shape[0])
-    w[fail] = 1.0 / pi[fail]
-    return _mean_cov(w)
+    return _mean_cov(_is_weights(g, 1.0, _pi(model, xs)))
 
 
 @one_blas_thread

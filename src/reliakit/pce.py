@@ -56,6 +56,10 @@ _KINDS = ("hermite", "legendre", "laguerre", "jacobi")
 
 _COND_LIMIT = 1e10
 
+# Most basis terms pce_estimate accepts: at 1e4 terms the 2P x P design
+# matrix of the fit alone holds 1.6 GB.
+_MAX_TERMS = 10_000
+
 
 @dataclass(frozen=True)
 class PolynomialFamily:
@@ -542,7 +546,13 @@ def pce_estimate(
     Latin-hypercube design of twice its size.  :func:`pce_pf` then sweeps
     the expansion over ``n_surrogate`` draws.  ``n_calls`` counts every
     true-model call, including designs of degrees the adaptive loop passed.
+    A top-degree basis of more than 10,000 terms raises ``ValueError``
+    before any design is drawn.
     """
+    top = max(p_max if target_error is not None else degree, 0)
+    terms = math.comb(rv.dimension + top, top)
+    if terms > _MAX_TERMS:
+        raise ValueError(f"degree {top} in {rv.dimension} inputs needs {terms} > {_MAX_TERMS} terms")
     rng = make_rng(seed)
     ledger = EvalLedger() if ledger is None else ledger
     start = ledger.count

@@ -312,17 +312,14 @@ class RandomVector:
         return np.where(np.isfinite(dens), dens, 0.0)
 
     def _copula_density(self, pts: np.ndarray) -> np.ndarray:
-        z = np.empty_like(pts)
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for i, marg in enumerate(self.marginals):
-            p = marg.cdf(pts[:, i])
-            inside &= (p > 0.0) & (p < 1.0)
-            z[:, i] = ndtri(np.clip(p, _P_LO, _P_HI))
-        L = self._chol
-        y = solve_triangular(L, z.T, lower=True).T
+        """Gaussian-copula factor of the density; 0 on rows outside an open support."""
+        lo, hi = np.array([marg.support for marg in self.marginals]).T
+        inside = np.all((pts > lo) & (pts < hi), axis=1)
+        y = self.to_standard(pts[inside])
+        z = y @ self._chol.T
         quad = np.einsum("ij,ij->i", y, y) - np.einsum("ij,ij->i", z, z)
-        dens = np.exp(-0.5 * quad) / np.prod(np.diag(L))
-        dens[~inside] = 0.0
+        dens = np.zeros(pts.shape[0])
+        dens[inside] = np.exp(-0.5 * quad) / np.prod(np.diag(self._chol))
         return dens
 
     # -- moments -----------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .errors import FitError
-from .estimators import ReliabilityResult, estimate_mc
+from .estimators import ReliabilityResult, _sweep
 from .limitstate import EvalLedger, LimitState, evaluate_batch
 from .probmodel import RandomVector, make_rng
 
@@ -188,6 +188,6 @@ def qrs_estimate(
         n_design = 3 * qrs_n_coeffs(rv.dimension, include_cross)
     pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)
     surf = qrs_fit(pts, evaluate_batch(ls, pts, ledger=ledger), include_cross=include_cross)
-    sur = estimate_mc(surf.to_limit_state(), rv, n_surrogate, seed=rng)
+    (pf,), (cov,) = _sweep(rv, lambda xs: surf.predict(xs) <= 0.0, n_surrogate, rng)
     extras = {"n_surrogate": n_surrogate, "fit": surf.diagnostics}
-    return ReliabilityResult(sur.pf, sur.cov, n_design, "qrs", extras)
+    return ReliabilityResult(pf, cov, n_design, "qrs", extras)

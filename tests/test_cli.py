@@ -300,6 +300,43 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert [ledger.count for ledger in ledgers] == [0]
 
+    def test_oversized_pce_basis_exits_two_before_any_call(self, tmp_path):
+        # degree 20 in 10 inputs is 30,045,015 basis terms: listing them alone
+        # takes minutes, so the run goes to a subprocess under a timeout
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {
+                    "expression": "+".join(f"x{i}" for i in range(1, 11)),
+                    "marginals": [{"family": "gaussian", "params": [0.0, 1.0]}] * 10,
+                },
+                "method": {"name": "pce", "degree": 20},
+            },
+        )
+        script = "\n".join(
+            [
+                "import sys",
+                "from reliakit import cli",
+                "ledgers = []",
+                "class RecordingLedger(cli.EvalLedger):",
+                "    def __init__(self):",
+                "        super().__init__()",
+                "        ledgers.append(self)",
+                "cli.EvalLedger = RecordingLedger",
+                "code = cli.main(['run', '--config', sys.argv[1]])",
+                "print([ledger.count for ledger in ledgers])",
+                "sys.exit(code)",
+            ]
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(reliakit.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cfg], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == ["[0]"]
+
     @pytest.mark.parametrize(
         "expression",
         [

@@ -24,7 +24,9 @@ from reliakit import (
     basis_for,
     benchmark_linear,
     benchmark_waarts,
+    classification_probability,
     cornell_index,
+    estimate_alpha_corr,
     estimate_is,
     estimate_mc,
     estimate_pf_epsilon,
@@ -37,8 +39,10 @@ from reliakit import (
     mc_cov,
     pce_fit_regression,
     pce_pf,
+    sample_instrumental,
     standard_normal_vector,
 )
+from reliakit.estimators import _mean_cov
 
 
 def batch_recording(ls):
@@ -58,6 +62,10 @@ class TestReliabilityResult:
         assert ReliabilityResult(float(ndtr(-2.0)), 0.0, 0, "mc").beta == pytest.approx(2.0)
         assert ReliabilityResult(0.0, 0.0, 0, "mc").beta == math.inf
         assert ReliabilityResult(1.0, 0.0, 0, "mc").beta == -math.inf
+
+    def test_to_dict_keys(self):
+        d = ReliabilityResult(0.01, 0.1, 5, "mc", extras={"n_failures": 3}).to_dict()
+        assert list(d) == ["method", "pf", "beta", "cov", "n_calls", "extras"]
 
     def test_to_dict_cleans_nonfinite(self):
         r = ReliabilityResult(0.0, float("nan"), 5, "mc", extras={"a": np.arange(3)})
@@ -199,6 +207,73 @@ class TestImportanceSampling:
         assert axial.min() >= beta0
         res = stats.kstest(axial, stats.truncnorm(beta0, np.inf).cdf)
         assert res.pvalue > 0.01
+
+
+# Importance weights 1{g <= 0} f / h: estimate_is with f = 1 and h = pi weighs
+# rows exactly as estimate_alpha_corr does, so both run on the same cases.
+WEIGHT_LS = benchmark_linear(0.5, dimension=2)  # fails where x1 >= 0.5
+
+
+def pi(model, xs):
+    return classification_probability(*krig_predict_batch(model, xs))
+
+
+def weights_by_is(model, rows):
+    h = InstrumentalDensity(sampler=lambda rng, n: rows, density=lambda xs: pi(model, xs))
+    res = estimate_is(WEIGHT_LS, h, lambda xs: np.ones(len(xs)), len(rows), seed=0)
+    return res.pf, res.cov
+
+
+def weights_by_alpha_corr(model, rows):
+    return estimate_alpha_corr(WEIGHT_LS, model, rows)
+
+
+def surrogate(beta0, kernel, trend, n=12, seed=1):
+    rv = standard_normal_vector(2)
+    pts = initial_design(rv, n, seed=seed)
+    ls = benchmark_linear(beta0, dimension=2)
+    return krig_build(ExperimentalDesign(pts, evaluate_batch(ls, pts)), trend, kernel)
+
+
+@pytest.mark.parametrize("run", [weights_by_is, weights_by_alpha_corr], ids=["is", "alpha_corr"])
+class TestImportanceWeights:
+    def test_first_uncovered_failing_row_is_named(self, run):
+        # an exact surrogate of x1 >= 2: pi is 0 at rows 1 and 2, which truly fail
+        model = surrogate(2.0, CorrelationKernel((2.0, 2.0)), "linear")
+        rows = np.array([[-1.0, 0.0], [1.0, 0.3], [1.2, -0.5], [3.0, 0.0]])
+        assert list(pi(model, rows)) == [0.0, 0.0, 0.0, 1.0]
+        with pytest.raises(EstimatorError, match="failing sample 1 "):
+            run(model, rows)
+
+    def test_mean_of_inverse_probability_on_failures(self, run):
+        model = surrogate(0.5, CorrelationKernel((1.5, 1.5)), "constant", n=8, seed=4)
+        rows, _ = sample_instrumental(model, standard_normal_vector(2), 400, seed=5)
+        p = pi(model, rows)
+        fail = evaluate_batch(WEIGHT_LS, rows) <= 0.0
+        assert 0 < np.count_nonzero(fail) < len(rows)
+        w = np.zeros(len(rows))
+        w[fail] = 1.0 / p[fail]
+        assert run(model, rows) == _mean_cov(w)
+
+
+def test_failing_row_without_density_weighs_zero():
+    # f = h = 0 on a failing row: no mass to miss, so the row weighs 0
+    model = surrogate(2.0, CorrelationKernel((2.0, 2.0)), "linear")
+    rows = np.array([[1.0, 0.0], [3.0, 0.0]])
+    h = InstrumentalDensity(sampler=lambda rng, n: rows, density=lambda xs: pi(model, xs))
+    res = estimate_is(WEIGHT_LS, h, h.density, 2, seed=0)
+    assert (res.pf, res.extras["n_failures"]) == (0.5, 2)
+
+
+def test_is_weights_match_the_direct_ratio():
+    rv = standard_normal_vector(2)
+    h = InstrumentalDensity.gaussian_centered([0.5, 0.0], std=1.2)
+    res = estimate_is(WEIGHT_LS, h, rv.joint_pdf, 3000, seed=6)
+    xs = h.sampler(np.random.default_rng(6), 3000)
+    fail = evaluate_batch(WEIGHT_LS, xs) <= 0.0
+    w = np.zeros(3000)
+    w[fail] = rv.joint_pdf(xs)[fail] / h.density(xs)[fail]
+    assert (res.pf, res.cov) == _mean_cov(w)
 
 
 class TestCornell:

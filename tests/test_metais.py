@@ -367,6 +367,16 @@ class TestFullEstimate:
         assert d["pf"] > 0.0
         assert isinstance(res, MetaIsResult)
 
+    def test_to_dict_keys_and_values(self):
+        res = MetaIsResult(2e-3, 4e-3, 0.5, 0.02, 0.1, math.sqrt(0.0104), 40, 200, True, {"a": 1})
+        d = res.to_dict()
+        assert list(d) == [
+            "method", "pf", "beta", "pf_epsilon", "alpha_corr", "cov_epsilon", "cov_alpha",
+            "cov", "n_calls_doe", "n_calls_corr", "n_calls", "converged", "extras",
+        ]
+        assert d["beta"] == res.beta and d["cov"] == res.cov_total
+        assert (d["n_calls"], d["converged"], d["extras"]) == (240, True, {"a": 1})
+
     def test_deterministic_per_seed(self):
         ls = benchmark_waarts()
         rv = standard_normal_vector(2)

@@ -185,6 +185,38 @@ class TestJointPdf:
         np.testing.assert_allclose(rv.joint_pdf(x), oracle.pdf(x), rtol=1e-9)
 
 
+class TestCopulaTails:
+    """The copula factor stays exact past the reach of the clipped normal quantile."""
+
+    RHO = 0.6
+    CORR = np.array([[1.0, RHO], [RHO, 1.0]])
+
+    def pair_density(self, a, b):
+        """Closed-form standard bivariate normal density at correlation RHO."""
+        r = self.RHO
+        q = (a * a - 2.0 * r * a * b + b * b) / (1.0 - r * r)
+        return math.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(1.0 - r * r))
+
+    @pytest.mark.parametrize("k", [8.5, 9.0, 10.0])
+    def test_gaussian_pair_upper_tail(self, k):
+        rv = RandomVector((Marginal.gaussian(1.0, 2.0), Marginal.gaussian(-1.0, 0.5)), self.CORR)
+        for a, b in ((k, k), (k, 0.5 * k)):
+            got = rv.joint_pdf(np.array([[1.0 + 2.0 * a, -1.0 + 0.5 * b]]))[0]
+            assert got / (self.pair_density(a, b) / (2.0 * 0.5)) == pytest.approx(1.0, rel=1e-9)
+
+    def test_lognormal_column_upper_tail(self):
+        rv = RandomVector((Marginal.lognormal(0.2, 0.5), Marginal.gaussian(0.0, 1.0)), self.CORR)
+        x1 = math.exp(0.2 + 0.5 * 9.0)
+        got = rv.joint_pdf(np.array([[x1, 8.0]]))[0]
+        assert got / (self.pair_density(9.0, 8.0) / (0.5 * x1)) == pytest.approx(1.0, rel=1e-9)
+
+    def test_row_on_a_uniform_bound_reads_zero(self):
+        rv = RandomVector((Marginal.uniform(0.0, 1.0), Marginal.gaussian(0.0, 1.0)), self.CORR)
+        dens = rv.joint_pdf(np.array([[0.0, 0.3], [0.5, 0.3], [1.0, 0.3], [1.5, 0.3]]))
+        assert dens[0] == dens[2] == dens[3] == 0.0
+        assert dens[1] > 0.0
+
+
 class TestSampling:
     def test_deterministic_per_seed(self):
         rv = mixed_vector()

@@ -6,8 +6,12 @@ import pytest
 from reliakit import (
     FitError,
     QuadraticSurface,
+    benchmark_waarts,
+    estimate_mc,
     evaluate_batch,
+    make_rng,
     qrs_basis,
+    qrs_estimate,
     qrs_fit,
     qrs_n_coeffs,
     standard_normal_vector,
@@ -139,6 +143,18 @@ class TestSurfaceObject:
     def test_asymmetric_quadratic_rejected(self):
         with pytest.raises(ValueError):
             QuadraticSurface(0.0, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_estimate_sweeps_the_surface_as_crude_mc(seed):
+    # the surface's sweep is crude Monte Carlo on the stream left after the design
+    ls, rv, n = benchmark_waarts(), standard_normal_vector(2), 150_000  # two sweep blocks
+    res = qrs_estimate(ls, rv, n_surrogate=n, seed=seed)
+    rng = make_rng(seed)
+    pts = rv.sample(3 * qrs_n_coeffs(2), scheme="latin_hypercube", seed=rng)
+    mc = estimate_mc(qrs_fit(pts, evaluate_batch(ls, pts)).to_limit_state(), rv, n, seed=rng)
+    assert 0.0 < res.pf < 1.0
+    assert (res.pf, res.cov) == (mc.pf, mc.cov)
 
 
 def test_fit_feeds_reliability_workflow():

@@ -49,6 +49,10 @@ change and where it is, and the paths of any other values that differ
   beta = 4.5 in standard normal space (one chain, with burn-in), and a
   linear surrogate on correlated non-gaussian inputs (eleven chains, whose
   starts and states are mapped between the spaces under a correlation);
+* ``joint_pdf`` of the correlated vector of
+  ``perfbench/compare_physical.json`` on 1,000 seeded rows, and of a
+  standard Gaussian pair at correlation 0.6 on the diagonal rows (k, k)
+  for k = 0, 1, ..., 10, so that the copula factor shows its upper tail;
 * ``evaluate_batch`` of one expression limit state per kind of node the
   parser accepts (arithmetic, ``%``, ``^``, unary minus, chained
   comparisons, a conditional, ``min``/``max`` with three arguments and with
@@ -329,6 +333,16 @@ def _rare_instrumental() -> dict:
     }
 
 
+def _joint_pdf(spec: dict) -> dict:
+    _, rv = cli._build_problem(spec["problem"])
+    pair = RandomVector((Marginal.gaussian(0.0, 1.0),) * 2, np.array([[1.0, 0.6], [0.6, 1.0]]))
+    k = np.arange(11.0)
+    return {
+        "compare_vector": rv.joint_pdf(rv.sample(1000, seed=5)),
+        "gaussian_pair_diagonal": pair.joint_pdf(np.column_stack([k, k])),
+    }
+
+
 _EXPRESSIONS = {
     "arithmetic": "x1 + 2*x2 - x3 / 3 * (x1 - k)",
     "mod": "x1 % 0.7 - x2 % -1.3",
@@ -435,6 +449,7 @@ def main(argv=None) -> int:
         "pce_maps": _pce_maps(),
         "pce_predict": _pce_predict(spec),
         "rare_instrumental": _rare_instrumental(),
+        "joint_pdf": _joint_pdf(spec),
         "expression": _expressions(),
     }
     json.dump(_hex(doc), sys.stdout, indent=1, sort_keys=True)
