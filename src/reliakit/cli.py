@@ -101,12 +101,13 @@ _PROBLEM_SCHEMA = {
 }
 
 _COUNT = {"type": "integer", "minimum": 1}
+_ROWS = dict(_COUNT, maximum=10**9)  # every sample size stops at mc's cap
 _POS = {"type": "number", "exclusiveMinimum": 0}
 
 _METHOD_OPTION_SCHEMAS = {
-    "mc": {"n": {"type": "integer", "minimum": 1, "maximum": 10**9}},
+    "mc": {"n": _ROWS},
     "is": {
-        "n": _COUNT,
+        "n": _ROWS,
         "instrumental": {
             "oneOf": [
                 {
@@ -134,28 +135,28 @@ _METHOD_OPTION_SCHEMAS = {
     },
     "fosm": {"step": _POS},
     "form": {"tol": _POS, "gtol": _POS, "max_iter": _COUNT},
-    "qrs": {"n_design": _COUNT, "n_surrogate": _COUNT, "include_cross": {"type": "boolean"}},
+    "qrs": {"n_design": _COUNT, "n_surrogate": _ROWS, "include_cross": {"type": "boolean"}},
     "pce": {
         "degree": {"type": "integer", "minimum": 1, "maximum": 20},
         "target_error": _POS,
         "p_max": {"type": "integer", "minimum": 1, "maximum": 20},
-        "n_surrogate": _COUNT,
+        "n_surrogate": _ROWS,
     },
     "ak": {
-        "n_pool": _COUNT,
+        "n_pool": _ROWS,
         "u_stop": _POS,
         "budget": _COUNT,
-        "n_bounds": _COUNT,
+        "n_bounds": _ROWS,
         "k": _POS,
     },
     "metais": {
-        "n_epsilon": _COUNT,
-        "n_corr": _COUNT,
+        "n_epsilon": _ROWS,
+        "n_corr": _ROWS,
         "k": _POS,
         "n_clusters": _COUNT,
         "tol": _POS,
         "budget": _COUNT,
-        "n_bounds": _COUNT,
+        "n_bounds": _ROWS,
         "n_chain": _COUNT,
     },
 }

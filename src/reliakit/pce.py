@@ -60,6 +60,9 @@ _COND_LIMIT = 1e10
 # matrix of the fit alone holds 1.6 GB.
 _MAX_TERMS = 10_000
 
+# Rows per tile of a surrogate sum, so that its tables and sums stay in L2 cache.
+_TILE = 16_384
+
 
 @dataclass(frozen=True)
 class PolynomialFamily:
@@ -97,34 +100,36 @@ def orthonormal_table(family: PolynomialFamily, degree: int, x) -> np.ndarray:
         raise ValueError("degree must be >= 0")
     x = np.asarray(x, dtype=float)
     out = np.empty((degree + 1,) + x.shape)  # one contiguous row per degree
-    tab = np.moveaxis(out, 0, -1)  # the x.shape + (degree + 1,) view returned
+    ks = np.arange(degree + 1)
     out[0] = 1.0
     kind = family.kind
+    # rows are built and scaled in place; out[k, ...] stays a view when x is 0-d
     if kind == "hermite":
         if degree >= 1:
             out[1] = x
         for k in range(1, degree):
-            out[k + 1] = x * out[k] - k * out[k - 1]
-        ks = np.arange(degree + 1)
-        tab /= np.exp(0.5 * gammaln(ks + 1.0))
+            row = np.multiply(x, out[k], out=out[k + 1, ...])
+            row -= k * out[k - 1]
+        op, scale = np.divide, np.exp(0.5 * gammaln(ks + 1.0))
     elif kind == "legendre":
         if degree >= 1:
             out[1] = x
         for k in range(1, degree):
-            out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-        ks = np.arange(degree + 1)
-        tab *= np.sqrt(2.0 * ks + 1.0)
+            row = np.multiply((2 * k + 1) * x, out[k], out=out[k + 1, ...])
+            row -= k * out[k - 1]
+            row /= k + 1
+        op, scale = np.multiply, np.sqrt(2.0 * ks + 1.0)
     elif kind == "laguerre":
         a = family.alpha
         if degree >= 1:
             out[1] = 1.0 + a - x
         for k in range(1, degree):
-            out[k + 1] = (
-                (2 * k + a + 1 - x) * out[k] - (k + a) * out[k - 1]
-            ) / (k + 1)
-        ks = np.arange(degree + 1)
+            row = np.multiply(2 * k + a + 1 - x, out[k], out=out[k + 1, ...])
+            row -= (k + a) * out[k - 1]
+            row /= k + 1
         # norm^2 against the gamma(a+1) probability weight: Gamma(k+a+1)/(k! Gamma(a+1))
-        tab *= np.exp(0.5 * (gammaln(ks + 1.0) + gammaln(a + 1.0) - gammaln(ks + a + 1.0)))
+        op = np.multiply
+        scale = np.exp(0.5 * (gammaln(ks + 1.0) + gammaln(a + 1.0) - gammaln(ks + a + 1.0)))
     else:  # jacobi
         a, b = family.alpha, family.beta
         if degree >= 1:
@@ -134,27 +139,30 @@ def orthonormal_table(family: PolynomialFamily, degree: int, x) -> np.ndarray:
             c2 = (2 * k + a + b - 1) * (a * a - b * b)
             c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
             c4 = 2.0 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-            out[k] = ((c2 + c3 * x) * out[k - 1] - c4 * out[k - 2]) / c1
+            row = np.multiply(c2 + c3 * x, out[k - 1], out=out[k, ...])
+            row -= c4 * out[k - 2]
+            row /= c1
         # squared norms against the raw weight (1-x)^a (1+x)^b; the k=0 form
         # avoids the Gamma pole at a+b = -1.
-        ks = np.arange(1, degree + 1)
+        ks = ks[1:]
         ln_h0 = (
             (a + b + 1.0) * math.log(2.0)
             + gammaln(a + 1.0)
             + gammaln(b + 1.0)
             - gammaln(a + b + 2.0)
         )
-        if degree >= 1:
-            ln_hk = (
-                (a + b + 1.0) * math.log(2.0)
-                - np.log(2.0 * ks + a + b + 1.0)
-                + gammaln(ks + a + 1.0)
-                + gammaln(ks + b + 1.0)
-                - gammaln(ks + a + b + 1.0)
-                - gammaln(ks + 1.0)
-            )
-            tab[..., 1:] *= np.exp(0.5 * (ln_h0 - ln_hk))
-    return tab
+        ln_hk = (
+            (a + b + 1.0) * math.log(2.0)
+            - np.log(2.0 * ks + a + b + 1.0)
+            + gammaln(ks + a + 1.0)
+            + gammaln(ks + b + 1.0)
+            - gammaln(ks + a + b + 1.0)
+            - gammaln(ks + 1.0)
+        )
+        op, scale = np.multiply, np.concatenate([[1.0], np.exp(0.5 * (ln_h0 - ln_hk))])
+    for k in range(degree + 1):
+        op(out[k, ...], scale[k], out=out[k, ...])
+    return np.moveaxis(out, 0, -1)  # the x.shape + (degree + 1,) view
 
 
 def gauss_rule(family: PolynomialFamily, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,9 +344,11 @@ class PceModel:
         return self._at_basis(physical_to_basis(self.rv, x))
 
     def _at_basis(self, xi: np.ndarray) -> np.ndarray:
-        out, term = np.zeros(xi.shape[0]), np.empty(xi.shape[0])
-        for j, prod in self.basis._products(xi):
-            out += np.multiply(prod, self.coefficients[j], out=term)
+        out, term = np.zeros(xi.shape[0]), np.empty(min(_TILE, xi.shape[0]))
+        for lo in range(0, xi.shape[0], _TILE):
+            part = out[lo:lo + _TILE]
+            for j, prod in self.basis._products(xi[lo:lo + _TILE]):
+                part += np.multiply(prod, self.coefficients[j], out=term[:part.size])
         return out
 
     def coefficient(self, alpha: tuple[int, ...]) -> float:

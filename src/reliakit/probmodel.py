@@ -242,15 +242,18 @@ class RandomVector:
                 raise DomainError(
                     f"component {i} outside open support ({lo}, {hi}) of {marg.family}"
                 )
-            # Gaussian-type marginals map by arithmetic; the generic CDF
-            # path is kept for the rest.
+            # Gaussian-type marginals map by arithmetic; the rest by the CDF,
+            # or above the median by the survival function, which keeps the tail.
             p = marg.params
             if marg.family == "gaussian":
                 z[:, i] = (col - p[0]) / p[1]
             elif marg.family == "lognormal":
                 z[:, i] = (np.log(col) - p[0]) / p[1]
             else:
-                z[:, i] = ndtri(np.clip(marg.cdf(col), _P_LO, _P_HI))
+                cdf = marg.cdf(col)
+                up = cdf > 0.5
+                z[:, i] = ndtri(np.maximum(cdf, _P_LO))
+                z[up, i] = -ndtri(np.maximum(marg.dist.sf(col[up]), _P_LO))
         if self._chol is not None:
             z = solve_triangular(self._chol, z.T, lower=True).T
         return z

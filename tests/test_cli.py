@@ -300,19 +300,9 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert [ledger.count for ledger in ledgers] == [0]
 
-    def test_oversized_pce_basis_exits_two_before_any_call(self, tmp_path):
-        # degree 20 in 10 inputs is 30,045,015 basis terms: listing them alone
-        # takes minutes, so the run goes to a subprocess under a timeout
-        cfg = write_config(
-            tmp_path,
-            {
-                "problem": {
-                    "expression": "+".join(f"x{i}" for i in range(1, 11)),
-                    "marginals": [{"family": "gaussian", "params": [0.0, 1.0]}] * 10,
-                },
-                "method": {"name": "pce", "degree": 20},
-            },
-        )
+    @staticmethod
+    def run_counting_calls(cfg):
+        """Run the config in a subprocess under a timeout, printing each ledger's count."""
         script = "\n".join(
             [
                 "import sys",
@@ -329,13 +319,55 @@ class TestConfigValidation:
             ]
         )
         env = dict(os.environ, PYTHONPATH=str(Path(reliakit.__file__).resolve().parents[1]))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", script, cfg], capture_output=True, text=True, timeout=60, env=env
         )
+
+    def test_oversized_pce_basis_exits_two_before_any_call(self, tmp_path):
+        # degree 20 in 10 inputs is 30,045,015 basis terms: listing them alone
+        # takes minutes, so the run goes to a subprocess under a timeout
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {
+                    "expression": "+".join(f"x{i}" for i in range(1, 11)),
+                    "marginals": [{"family": "gaussian", "params": [0.0, 1.0]}] * 10,
+                },
+                "method": {"name": "pce", "degree": 20},
+            },
+        )
+        proc = self.run_counting_calls(cfg)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout.splitlines() == ["[0]"]
+
+    @pytest.mark.parametrize(
+        "method, option",
+        [
+            ("mc", "n"),
+            ("is", "n"),
+            ("qrs", "n_surrogate"),
+            ("pce", "n_surrogate"),
+            ("ak", "n_pool"),
+            ("ak", "n_bounds"),
+            ("metais", "n_epsilon"),
+            ("metais", "n_corr"),
+            ("metais", "n_bounds"),
+        ],
+    )
+    def test_sample_size_past_the_cap_exits_two_before_any_call(self, tmp_path, method, option):
+        # one row past the cap: the schema refuses a run that would take
+        # days, before a ledger exists, so no model call is made
+        cfg = write_config(
+            tmp_path,
+            {"problem": {"benchmark": "waarts"}, "method": {"name": method, option: 10**9 + 1}},
+        )
+        proc = self.run_counting_calls(cfg)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
 
     @pytest.mark.parametrize(
         "expression",

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -319,6 +320,129 @@ class TestBasisFreeSum:
         assert got.shape == (rows,)
         scale = np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _parent_table(family, degree, x):
+    """orthonormal_table as it read before rows were built in place: the oracle."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((degree + 1,) + x.shape)
+    tab = np.moveaxis(out, 0, -1)
+    out[0] = 1.0
+    ks = np.arange(degree + 1)
+    if family.kind == "hermite":
+        if degree >= 1:
+            out[1] = x
+        for k in range(1, degree):
+            out[k + 1] = x * out[k] - k * out[k - 1]
+        tab /= np.exp(0.5 * special.gammaln(ks + 1.0))
+    elif family.kind == "legendre":
+        if degree >= 1:
+            out[1] = x
+        for k in range(1, degree):
+            out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
+        tab *= np.sqrt(2.0 * ks + 1.0)
+    elif family.kind == "laguerre":
+        a = family.alpha
+        if degree >= 1:
+            out[1] = 1.0 + a - x
+        for k in range(1, degree):
+            out[k + 1] = ((2 * k + a + 1 - x) * out[k] - (k + a) * out[k - 1]) / (k + 1)
+        g = special.gammaln
+        tab *= np.exp(0.5 * (g(ks + 1.0) + g(a + 1.0) - g(ks + a + 1.0)))
+    else:
+        a, b = family.alpha, family.beta
+        if degree >= 1:
+            out[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+        for k in range(2, degree + 1):
+            c1 = 2.0 * k * (k + a + b) * (2 * k + a + b - 2)
+            c2 = (2 * k + a + b - 1) * (a * a - b * b)
+            c3 = (2 * k + a + b - 1) * (2 * k + a + b) * (2 * k + a + b - 2)
+            c4 = 2.0 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
+            out[k] = ((c2 + c3 * x) * out[k - 1] - c4 * out[k - 2]) / c1
+        g, ks = special.gammaln, ks[1:]
+        ln_h0 = (a + b + 1.0) * math.log(2.0) + g(a + 1.0) + g(b + 1.0) - g(a + b + 2.0)
+        ln_hk = (
+            (a + b + 1.0) * math.log(2.0) - np.log(2.0 * ks + a + b + 1.0)
+            + g(ks + a + 1.0) + g(ks + b + 1.0) - g(ks + a + b + 1.0) - g(ks + 1.0)
+        )
+        tab[..., 1:] *= np.exp(0.5 * (ln_h0 - ln_hk))
+    return tab
+
+
+def _untiled_sum(model, xi):
+    """PceModel._at_basis as it read before the sum was tiled: the oracle."""
+    out, term = np.zeros(xi.shape[0]), np.empty(xi.shape[0])
+    for j, prod in model.basis._products(xi):
+        out += np.multiply(prod, model.coefficients[j], out=term)
+    return out
+
+
+class TestInPlaceSum:
+    """Tables built in place and tiled sums give the parent's bits exactly."""
+
+    FAMILIES = (
+        HERMITE,
+        LEGENDRE,
+        gamma_family(2.5),
+        gamma_family(0.5),
+        beta_family(2, 3),
+        PolynomialFamily("jacobi", alpha=-0.5, beta=-0.5),  # the a + b = -1 pole
+    )
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f"{f.kind}{f.alpha}")
+    @pytest.mark.parametrize("degree", [0, 1, 2, 7])
+    def test_table_is_the_parent_expression(self, fam, degree):
+        x = np.random.default_rng(degree).uniform(-0.99, 0.99, size=300)
+        if fam.kind == "laguerre":
+            x = 4.0 * np.abs(x)
+        for pts in (x, x[::3], x.reshape(20, 15), float(x[0])):
+            got = orthonormal_table(fam, degree, pts)
+            want = _parent_table(fam, degree, pts)
+            assert got.shape == want.shape == np.shape(pts) + (degree + 1,)
+            np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def models():
+        rv, _ = TestGermSweep.compare_problem()
+        compare = basis_for(rv, 6)  # the correlated compare problem: a Hermite germ
+        mixed = PceBasis(
+            (HERMITE, LEGENDRE, gamma_family(2.5), beta_family(2, 3)), truncation_set(4, 4)
+        )
+        rng = np.random.default_rng(3)
+        return {
+            "compare_degree6": PceModel(compare, rng.normal(size=compare.size), rv),
+            "mixed_families": PceModel(mixed, rng.normal(size=mixed.size), rv),
+        }
+
+    @staticmethod
+    def germ(kind, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "compare_degree6":
+            return rng.standard_normal((n, 4))
+        return np.column_stack(
+            [rng.standard_normal(n), rng.uniform(-1, 1, n), rng.gamma(2.5, size=n),
+             rng.uniform(-1, 1, n)]
+        )
+
+    @pytest.mark.parametrize("kind", ["compare_degree6", "mixed_families"])
+    def test_tiled_sum_is_the_untiled_sum(self, kind):
+        model = self.models()[kind]
+        tile = reliakit.pce._TILE
+        for rows in (1, tile - 1, tile, tile + 1, 3 * tile + 7):
+            xi = self.germ(kind, rows, rows)
+            np.testing.assert_array_equal(model._at_basis(xi), _untiled_sum(model, xi))
+
+    def test_sum_memory_stays_within_tiles(self):
+        model = self.models()["compare_degree6"]
+        xi = self.germ("compare_degree6", 100_000, 4)
+        tracemalloc.start()
+        try:
+            model._at_basis(xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # whole-block tables alone hold 4 x 7 x 100,000 floats (22.4 MB)
+        assert peak < 8e6
 
 
 def _design_for(rv, ls, n, seed):

@@ -210,6 +210,16 @@ class TestCopulaTails:
         got = rv.joint_pdf(np.array([[x1, 8.0]]))[0]
         assert got / (self.pair_density(9.0, 8.0) / (0.5 * x1)) == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("x1", [35.0, 45.0, 50.0])  # 7.2, 8.4 and 8.9 sigma
+    def test_gamma_column_upper_tail(self, x1):
+        # the normal score comes from the survival function above the median
+        rv = RandomVector((Marginal.gamma(3.0, 1.0), Marginal.gaussian(0.0, 1.0)), self.CORR)
+        z1 = stats.norm.isf(stats.gamma.sf(x1, 3.0))
+        got = rv.joint_pdf(np.array([[x1, z1]]))[0]
+        phi = math.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)
+        want = self.pair_density(z1, z1) * stats.gamma.pdf(x1, 3.0) / phi
+        assert got / want == pytest.approx(1.0, rel=1e-9)
+
     def test_row_on_a_uniform_bound_reads_zero(self):
         rv = RandomVector((Marginal.uniform(0.0, 1.0), Marginal.gaussian(0.0, 1.0)), self.CORR)
         dens = rv.joint_pdf(np.array([[0.0, 0.3], [0.5, 0.3], [1.0, 0.3], [1.5, 0.3]]))

@@ -44,6 +44,11 @@ change and where it is, and the paths of any other values that differ
   a degree-4 expansion on that five-family independent vector, and
   ``pce_pf`` of a degree-6 expansion of the compare problem (correlated, so
   swept in standard normal space) at n = 250,001;
+* the PCE sum alone (``PceModel._at_basis``) on 50,001 seeded basis-space
+  rows, several tiles with the last one partial: its sum and sum of
+  squares for that degree-6 compare expansion (on standard normal germ
+  rows) and that degree-4 five-family expansion, so that a change to how
+  the sum is taken shows in one entry even where a pf count does not move;
 * 50 instrumental draws, with the sampler record, for two targets so rare
   that lock-step chains supply the draws: an exact linear surrogate at
   beta = 4.5 in standard normal space (one chain, with burn-in), and a
@@ -298,9 +303,13 @@ def _fitted_pce(rv, degree, response):
     return pce_fit_regression(rv, basis, ExperimentalDesign(pts, response(pts)))
 
 
+def _mixed_response(x):
+    return x[:, 0] * x[:, 1] - x[:, 3] + np.sin(x[:, 2]) * x[:, 4]
+
+
 def _pce_predict(spec: dict) -> dict:
     rv = RandomVector(_FIVE_MARGINALS)
-    model = _fitted_pce(rv, 4, lambda x: x[:, 0] * x[:, 1] - x[:, 3] + np.sin(x[:, 2]) * x[:, 4])
+    model = _fitted_pce(rv, 4, _mixed_response)
     y = model.predict(rv.sample(1000, seed=4))
     ls, rv_c = cli._build_problem(spec["problem"])
     pce = pce_pf(_fitted_pce(rv_c, 6, lambda x: evaluate_batch(ls, x)), rv_c, 250_001, seed=2)
@@ -308,6 +317,21 @@ def _pce_predict(spec: dict) -> dict:
         "mixed_degree4": {"sum": np.sum(y), "sum_sq": np.sum(y * y)},
         "compare_degree6_pf": {"pf": pce.pf, "cov": pce.cov},
     }
+
+
+def _pce_tiles(spec: dict) -> dict:
+    rv = RandomVector(_FIVE_MARGINALS)
+    mixed = _fitted_pce(rv, 4, _mixed_response)
+    ls, rv_c = cli._build_problem(spec["problem"])
+    compare = _fitted_pce(rv_c, 6, lambda x: evaluate_batch(ls, x))
+    out = {}
+    for label, model, xi in (
+        ("compare_degree6", compare, np.random.default_rng(6).standard_normal((50_001, 4))),
+        ("mixed_degree4", mixed, physical_to_basis(rv, rv.sample(50_001, seed=6))),
+    ):
+        y = model._at_basis(xi)
+        out[label] = {"sum": np.sum(y), "sum_sq": np.sum(y * y)}
+    return out
 
 
 def _instrumental_draws(ls, rv, n_design) -> dict:
@@ -448,6 +472,7 @@ def main(argv=None) -> int:
         "kriging_fits_nd": _kriging_fits_nd(),
         "pce_maps": _pce_maps(),
         "pce_predict": _pce_predict(spec),
+        "pce_tiles": _pce_tiles(spec),
         "rare_instrumental": _rare_instrumental(),
         "joint_pdf": _joint_pdf(spec),
         "expression": _expressions(),
