@@ -33,9 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 from scipy.linalg.lapack import dtrtri
-from scipy.optimize import minimize
 from scipy.special import ndtr
 
 from ._blas import one_blas_thread
@@ -272,6 +270,7 @@ def krig_fit(
     Bounds are 1e-2 to 1e2 times the per-dimension design span; an optimum
     pinned at a bound is flagged in ``diagnostics['at_bounds']``.
     """
+    from scipy.optimize import minimize  # here, not at the top: it adds about 0.1 s to every import
     pts = design.points
     m = pts.shape[1]
     span = np.ptp(pts, axis=0)
@@ -428,6 +427,7 @@ def enrich_margin(model: KrigingModel, draws, n_clusters: int = 4, seed=None) ->
     Raises :class:`MarginCollapsed` when there is no draw, or when no draw
     is a new point; adaptive drivers treat that as convergence.
     """
+    from scipy.cluster.vq import kmeans2  # here, not at the top: only the margin design clusters
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
     samples = np.asarray(draws, dtype=float)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import cholesky, solve_triangular
-from scipy.special import ndtr, ndtri
+from scipy.special import (betainc, betaincc, betainccinv, betaincinv, betaln, gammainc, gammaincc,
+                           gammainccinv, gammaincinv, gammaln, ndtr, ndtri, xlog1py, xlogy)
 
 from .errors import DomainError, ModelError
 
@@ -31,7 +32,59 @@ __all__ = [
     "make_rng",
 ]
 
-_FAMILIES = ("gaussian", "uniform", "lognormal", "gamma", "beta")
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Each family: ``needs`` is (number of params, their check, what the error asks for);
+# ``layout`` maps the params to (loc, scale, shapes) of the standard form y = (x - loc) / scale,
+# as scipy.stats lays it out; its functions take y (a probability for ``ppf`` and ``isf``),
+# then the shapes; ``isf`` exists where the inverse transform needs it (gamma and beta);
+# and ``moments`` gives the mean and variance of y.
+_Family = namedtuple("_Family", "needs layout support pdf cdf sf ppf isf moments")
+
+
+def _lognormal_pdf(y, s):
+    dens = np.exp(-np.log(y) ** 2 / (2 * (s * s)) - np.log(s * y * _SQRT_2PI))
+    return np.where(y == 0.0, 0.0, dens)  # log(0) makes nan above; the density there is 0
+
+
+def _beta_inverse(q, a, b, upper: bool):
+    # betaincinv and betainccinv read nan where their root search fails (q < 1e-107 at a = b = 3);
+    # there q = t^c / (c B(a, b)) holds to double precision, t the distance to the end, c its shape.
+    y, c = (betainccinv(a, b, q), b) if upper else (betaincinv(a, b, q), a)
+    t = np.exp((np.log(q) + math.log(c) + betaln(a, b)) / c)
+    return np.where(np.isnan(y), 1.0 - t if upper else t, y)
+
+
+_FAMILIES = {
+    "gaussian": _Family(
+        (2, lambda mean, std: std > 0, "(mean, std) with std > 0"),
+        lambda mean, std: (mean, std, ()), (-math.inf, math.inf),
+        lambda y: np.exp(-y * y / 2.0) / _SQRT_2PI, ndtr, lambda y: ndtr(-y), ndtri, None,
+        lambda: (0.0, 1.0)),
+    "uniform": _Family(
+        (2, lambda lo, hi: hi > lo, "(lower, upper) with upper > lower"),
+        lambda lo, hi: (lo, hi - lo, ()), (0.0, 1.0), lambda y: np.where(y == y, 1.0, np.nan),
+        lambda y: y, lambda y: 1.0 - y, lambda q: q, None, lambda: (0.5, 1.0 / 12)),
+    "lognormal": _Family(
+        (2, lambda mu, s: s > 0, "(mu_log, sigma_log) with sigma_log > 0"),
+        lambda mu, s: (0.0, math.exp(mu), (s,)), (0.0, math.inf), _lognormal_pdf,
+        lambda y, s: ndtr(np.log(y) / s), lambda y, s: ndtr(-(np.log(y) / s)),
+        lambda q, s: np.exp(s * ndtri(q)), None,
+        lambda s: (np.sqrt(np.exp(s * s)), np.exp(s * s) * (np.exp(s * s) - 1))),
+    "gamma": _Family(
+        (2, lambda a, scale: a > 0 and scale > 0, "(shape, scale), both > 0"),
+        lambda a, scale: (0.0, scale, (a,)), (0.0, math.inf),
+        lambda y, a: np.exp(xlogy(a - 1.0, y) - y - gammaln(a)), lambda y, a: gammainc(a, y),
+        lambda y, a: gammaincc(a, y), lambda q, a: gammaincinv(a, q),
+        lambda q, a: gammainccinv(a, q), lambda a: (a, a)),
+    "beta": _Family(
+        (4, lambda a, b, lo, hi: a > 0 and b > 0 and hi > lo, "(alpha, beta, lower, upper)"),
+        lambda a, b, lo, hi: (lo, hi - lo, (a, b)), (0.0, 1.0),
+        lambda y, a, b: np.exp(xlogy(a - 1.0, y) + xlog1py(b - 1.0, -y) - betaln(a, b)),
+        lambda y, a, b: betainc(a, b, y), lambda y, a, b: betaincc(a, b, y),
+        lambda q, a, b: _beta_inverse(q, a, b, False), lambda q, a, b: _beta_inverse(q, a, b, True),
+        lambda a, b: (a / (a + b), a * b / ((a + b) * (a + b) * (a + b + 1)))),
+}
 
 # Probabilities are clipped to this band before applying the normal quantile,
 # so deep-tail points map to large-but-finite standard coordinates.
@@ -68,6 +121,9 @@ class Marginal:
     beta        (alpha, beta, lower, upper)
     ==========  ======================================
 
+    Each function is a closed form over ``scipy.special``, equal to ``scipy.stats``
+    bit for bit but for the beta pdf's roundoff (< 1e-13 relative).
+
     Use the family classmethods rather than the raw constructor.
     """
 
@@ -81,21 +137,9 @@ class Marginal:
         p = self.params
         if not all(math.isfinite(v) for v in p):
             raise ModelError(f"{self.family} marginal parameters must be finite, got {p}")
-        if self.family == "gaussian":
-            if len(p) != 2 or p[1] <= 0:
-                raise ModelError("gaussian marginal needs (mean, std) with std > 0")
-        elif self.family == "uniform":
-            if len(p) != 2 or p[1] <= p[0]:
-                raise ModelError("uniform marginal needs (lower, upper) with upper > lower")
-        elif self.family == "lognormal":
-            if len(p) != 2 or p[1] <= 0:
-                raise ModelError("lognormal marginal needs (mu_log, sigma_log) with sigma_log > 0")
-        elif self.family == "gamma":
-            if len(p) != 2 or p[0] <= 0 or p[1] <= 0:
-                raise ModelError("gamma marginal needs (shape, scale), both > 0")
-        elif self.family == "beta":
-            if len(p) != 4 or p[0] <= 0 or p[1] <= 0 or p[3] <= p[2]:
-                raise ModelError("beta marginal needs (alpha, beta, lower, upper)")
+        n, valid, needs = _FAMILIES[self.family].needs
+        if len(p) != n or not valid(*p):
+            raise ModelError(f"{self.family} marginal needs {needs}")
 
     # -- constructors ------------------------------------------------------
 
@@ -121,40 +165,53 @@ class Marginal:
         return cls("beta", (alpha, beta, lower, upper))
 
     # -- distribution interface -------------------------------------------
+    # As in scipy.stats, y = (x - loc) / scale goes through the standard form, and elements
+    # outside the support (for the inverses, outside [0, 1]) are then overwritten; the
+    # floating-point errors ignored arise there, or as the infinite density at a pole.
 
-    @cached_property
-    def dist(self):
-        """Frozen scipy.stats distribution backing this marginal."""
-        p = self.params
-        if self.family == "gaussian":
-            return stats.norm(loc=p[0], scale=p[1])
-        if self.family == "uniform":
-            return stats.uniform(loc=p[0], scale=p[1] - p[0])
-        if self.family == "lognormal":
-            return stats.lognorm(s=p[1], scale=math.exp(p[0]))
-        if self.family == "gamma":
-            return stats.gamma(a=p[0], scale=p[1])
-        return stats.beta(a=p[0], b=p[1], loc=p[2], scale=p[3] - p[2])
+    @property
+    def _form(self) -> tuple[float, float, tuple[float, ...], _Family]:
+        form = _FAMILIES[self.family]  # not cached: a cached family's lambdas would not pickle
+        return (*form.layout(*self.params), form)
 
     @property
     def support(self) -> tuple[float, float]:
-        lo, hi = self.dist.support()
-        return float(lo), float(hi)
+        loc, scale, _, form = self._form
+        return float(form.support[0] * scale + loc), float(form.support[1] * scale + loc)
+
+    def _at(self, name: str, x, below: float, above: float):
+        loc, scale, shapes, form = self._form
+        with np.errstate(all="ignore"):
+            y = (np.asarray(x, dtype=float) - loc) / scale
+            v = getattr(form, name)(y, *shapes) / (scale if name == "pdf" else 1.0)
+        return np.where(y < form.support[0], below, np.where(y > form.support[1], above, v))[()]
 
     def pdf(self, x):
-        return self.dist.pdf(x)
+        return self._at("pdf", x, 0.0, 0.0)
 
     def cdf(self, x):
-        return self.dist.cdf(x)
+        return self._at("cdf", x, 0.0, 1.0)
+
+    def sf(self, x):
+        return self._at("sf", x, 1.0, 0.0)
+
+    def _inverse(self, name: str, q):
+        loc, scale, shapes, form = self._form
+        q = np.asarray(q, dtype=float)
+        with np.errstate(all="ignore"):
+            x = getattr(form, name)(q, *shapes) * scale + loc
+        return np.where((q >= 0.0) & (q <= 1.0), x, np.nan)[()]
 
     def quantile(self, p):
-        return self.dist.ppf(p)
+        return self._inverse("ppf", p)
 
     def mean(self) -> float:
-        return float(self.dist.mean())
+        loc, scale, shapes, form = self._form
+        return float(form.moments(*shapes)[0] * scale + loc)
 
     def std(self) -> float:
-        return float(self.dist.std())
+        loc, scale, shapes, form = self._form
+        return float(np.sqrt(form.moments(*shapes)[1] * scale * scale))
 
     def to_dict(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
@@ -253,7 +310,7 @@ class RandomVector:
                 cdf = marg.cdf(col)
                 up = cdf > 0.5
                 z[:, i] = ndtri(np.maximum(cdf, _P_LO))
-                z[up, i] = -ndtri(np.maximum(marg.dist.sf(col[up]), _P_LO))
+                z[up, i] = -ndtri(np.maximum(marg.sf(col[up]), _P_LO))
         if self._chol is not None:
             z = solve_triangular(self._chol, z.T, lower=True).T
         return z
@@ -281,8 +338,10 @@ class RandomVector:
                 x[:, i] = np.exp(p[0] + p[1] * z[:, i])
             elif marg.family == "uniform":
                 x[:, i] = p[0] + (p[1] - p[0]) * ndtr(z[:, i])
-            else:
-                x[:, i] = marg.quantile(ndtr(z[:, i]))
+            else:  # above the median by the inverse survival function, which keeps the tail
+                up = z[:, i] > 0.0
+                x[~up, i] = marg.quantile(ndtr(z[~up, i]))
+                x[up, i] = marg._inverse("isf", ndtr(-z[up, i]))
         for i in free:  # drawn after u, so that the other columns keep their draws
             p, n = self.marginals[i].params, x.shape[0]
             if self.marginals[i].family == "gamma":

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,20 @@ from reliakit import (
     estimate_mc,
     standard_normal_vector,
 )
+
+
+def frozen(marg: Marginal):
+    """The scipy.stats distribution that a marginal's closed forms reproduce."""
+    p = marg.params
+    if marg.family == "gaussian":
+        return stats.norm(loc=p[0], scale=p[1])
+    if marg.family == "uniform":
+        return stats.uniform(loc=p[0], scale=p[1] - p[0])
+    if marg.family == "lognormal":
+        return stats.lognorm(s=p[1], scale=math.exp(p[0]))
+    if marg.family == "gamma":
+        return stats.gamma(a=p[0], scale=p[1])
+    return stats.beta(a=p[0], b=p[1], loc=p[2], scale=p[3] - p[2])
 
 
 def mixed_vector():
@@ -83,6 +99,101 @@ class TestMarginal:
         m = Marginal.beta(2.0, 5.0, 0.0, 10.0)
         assert Marginal.from_dict(m.to_dict()) == m
 
+    def test_pickles_after_use(self):
+        m = Marginal.gamma(2.0, 1.5)
+        m.pdf(1.0)
+        assert pickle.loads(pickle.dumps(m)).cdf(1.0) == m.cdf(1.0)
+
+
+ORACLE_MARGINALS = [
+    Marginal.gaussian(1.0, 2.0),
+    Marginal.uniform(-1.0, 3.0),
+    Marginal.lognormal(0.3, 0.8),
+    Marginal.gamma(0.6, 1.5),
+    Marginal.gamma(4.0, 0.5),
+    Marginal.beta(8.0, 2.0),
+    Marginal.beta(2.5, 3.5, 2.0, 5.0),
+    Marginal.beta(0.5, 0.5),
+]
+
+
+def oracle_at(f, points):
+    """scipy.stats at each point in turn, its warnings silenced; boost's overflow error
+    at the pole of a beta density reads inf."""
+    out = []
+    for pt in points:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                out.append(float(f(pt)))
+            except OverflowError:
+                out.append(math.inf)
+    return np.array(out)
+
+
+def assert_pdf_matches(marg, got, want):
+    # scipy.stats takes the beta density from boost, whose formula differs in roundoff
+    if marg.family == "beta":
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("marg", ORACLE_MARGINALS, ids=lambda m: f"{m.family}{m.params}")
+class TestClosedFormsAgainstScipyStats:
+    def test_interior_points(self, marg):
+        dist = frozen(marg)
+        q = np.random.default_rng(7).random(2000)
+        x = dist.ppf(q)
+        assert_pdf_matches(marg, marg.pdf(x), dist.pdf(x))
+        np.testing.assert_array_equal(marg.cdf(x), dist.cdf(x))
+        np.testing.assert_array_equal(marg.sf(x), dist.sf(x))
+        np.testing.assert_array_equal(marg.quantile(q), x)
+
+    def test_moments_and_support(self, marg):
+        dist = frozen(marg)
+        assert marg.mean() == float(dist.mean())
+        assert marg.std() == float(dist.std())
+        assert marg.support == tuple(float(v) for v in dist.support())
+
+    def test_at_below_and_above_each_end_of_the_support(self, marg):
+        dist = frozen(marg)
+        lo, hi = marg.support
+        x = np.array([lo, hi, lo - 1.0, hi + 1.0, np.nextafter(lo, -np.inf),
+                      np.nextafter(hi, np.inf), lo + 1e-3, hi - 1e-3, np.nan])
+        assert_pdf_matches(marg, marg.pdf(x), oracle_at(dist.pdf, x))
+        np.testing.assert_array_equal(marg.cdf(x), oracle_at(dist.cdf, x))
+        np.testing.assert_array_equal(marg.sf(x), oracle_at(dist.sf, x))
+
+    def test_quantile_edges(self, marg):
+        dist = frozen(marg)
+        q = np.array([0.0, 1.0, -0.5, 1.5, np.nan])
+        got = marg.quantile(q)
+        np.testing.assert_array_equal(got, oracle_at(dist.ppf, q))
+        assert tuple(got[:2]) == marg.support
+
+    def test_smallest_probability(self, marg):
+        got = marg.quantile(5e-324)
+        assert marg.support[0] <= got <= marg.quantile(1e-300)
+        if marg.params[:2] != (2.5, 3.5):  # see test_beta_quantile_past_the_root_search
+            assert got == oracle_at(frozen(marg).ppf, [5e-324])[0]
+
+    def test_scalars_in_scalars_out(self, marg):
+        x = float(frozen(marg).median())
+        for value in (marg.pdf(x), marg.cdf(x), marg.sf(x), marg.quantile(0.5)):
+            assert np.ndim(value) == 0 and isinstance(value, np.floating)
+
+
+@pytest.mark.parametrize("q", [1e-150, 1e-200, 1e-300])
+def test_beta_quantile_past_the_root_search(q):
+    # betaincinv reads nan below q ~ 1e-170 at (2.5, 3.5), where scipy.stats' beta ppf
+    # warns and returns its last iterate; the quantile keeps the leading term instead
+    marg = Marginal.beta(2.5, 3.5)
+    y = marg.quantile(q)
+    assert 0.0 < y < 1e-50
+    assert marg.cdf(y) == pytest.approx(q, rel=1e-12)
+    assert marg.quantile(5e-324) < marg.quantile(q)
+
 
 class TestTransform:
     def test_identity_for_standard_normal(self):
@@ -124,6 +235,23 @@ class TestTransform:
         )
         x = rv.sample(500, seed=3)
         np.testing.assert_allclose(rv.from_standard(rv.to_standard(x)), x, rtol=1e-8)
+
+    @pytest.mark.parametrize("u", [7.0, 9.0, 20.0])
+    def test_gamma_upper_tail_round_trips(self, u):
+        # above the median the map inverts the survival function, so z = 20 stays 20
+        marg = Marginal.gamma(4.0, 0.5)
+        rv = RandomVector((marg,))
+        x = rv.from_standard(np.array([[u]]))[0, 0]
+        assert x == frozen(marg).isf(ndtr(-u))
+        assert rv.to_standard(np.array([[x]]))[0, 0] == pytest.approx(u, rel=1e-14)
+
+    @pytest.mark.parametrize("u", [-30.0, 30.0])
+    def test_beta_far_tails_stay_finite(self, u):
+        rv = RandomVector((Marginal.beta(3.0, 3.0),))
+        x = rv.from_standard(np.array([[u]]))[0, 0]
+        assert 0.0 < x <= 1.0
+        if u < 0:
+            assert rv.marginals[0].cdf(x) == pytest.approx(ndtr(u), rel=1e-12)
 
     def test_outside_support_raises(self):
         rv = RandomVector((Marginal.uniform(0.0, 1.0),))
@@ -257,7 +385,7 @@ class TestSampling:
     def test_marginal_distribution_ks(self, idx):
         rv = mixed_vector()
         x = rv.sample(20_000, seed=idx)
-        res = stats.kstest(x[:, idx], rv.marginals[idx].dist.cdf)
+        res = stats.kstest(x[:, idx], frozen(rv.marginals[idx]).cdf)
         assert res.pvalue > 0.01
 
     def test_correlation_is_realized(self):

@@ -58,6 +58,11 @@ change and where it is, and the paths of any other values that differ
   ``perfbench/compare_physical.json`` on 1,000 seeded rows, and of a
   standard Gaussian pair at correlation 0.6 on the diagonal rows (k, k)
   for k = 0, 1, ..., 10, so that the copula factor shows its upper tail;
+* every ``Marginal`` function (pdf, cdf, sf, quantile, mean, std and
+  support) for the five families, with a gamma shape below 1 and beta
+  shapes (2, 5), (0.5, 0.5) and (2.5, 3.5): at 200 seeded interior points,
+  at, below and above each end of the support, and at the quantile's edges
+  0, 1, 5e-324 and 1e-300;
 * ``evaluate_batch`` of one expression limit state per kind of node the
   parser accepts (arithmetic, ``%``, ``^``, unary minus, chained
   comparisons, a conditional, ``min``/``max`` with three arguments and with
@@ -279,6 +284,28 @@ _FIVE_MARGINALS = (
 )
 
 
+def _marginals() -> dict:
+    rng = np.random.default_rng(8)
+    margs = _FIVE_MARGINALS + (
+        Marginal.gamma(0.6, 1.5), Marginal.beta(0.5, 0.5), Marginal.beta(2.5, 3.5, 2.0, 5.0),
+    )
+    out = {}
+    for marg in margs:
+        q = rng.random(200)
+        lo, hi = marg.support
+        x = np.concatenate([marg.quantile(q), [lo, hi, lo - 1.0, hi + 1.0, lo + 1e-3, hi - 1e-3]])
+        out[f"{marg.family}{list(marg.params)}"] = {
+            "pdf": marg.pdf(x),
+            "cdf": marg.cdf(x),
+            "sf": marg.sf(x),
+            "quantile": marg.quantile(np.concatenate([q, [0.0, 1.0, 5e-324, 1e-300]])),
+            "mean": marg.mean(),
+            "std": marg.std(),
+            "support": marg.support,
+        }
+    return out
+
+
 def _pce_maps() -> dict:
     corr = np.eye(5)
     corr[0, 3] = corr[3, 0] = 0.4
@@ -470,6 +497,7 @@ def main(argv=None) -> int:
         "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
         "kernel": _kernel(),
         "kriging_fits_nd": _kriging_fits_nd(),
+        "marginals": _marginals(),
         "pce_maps": _pce_maps(),
         "pce_predict": _pce_predict(spec),
         "pce_tiles": _pce_tiles(spec),
