@@ -135,7 +135,7 @@ _METHOD_OPTION_SCHEMAS = {
     },
     "fosm": {"step": _POS},
     "form": {"tol": _POS, "gtol": _POS, "max_iter": _COUNT},
-    "qrs": {"n_design": _COUNT, "n_surrogate": _ROWS, "include_cross": {"type": "boolean"}},
+    "qrs": {"n_design": _ROWS, "n_surrogate": _ROWS, "include_cross": {"type": "boolean"}},
     "pce": {
         "degree": {"type": "integer", "minimum": 1, "maximum": 20},
         "target_error": _POS,

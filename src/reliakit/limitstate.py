@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ModelError
 
@@ -133,6 +132,7 @@ class ExperimentalDesign:
     responses: np.ndarray
 
     def __post_init__(self):
+        from scipy.spatial import cKDTree  # here, not at the top: only a design needs it
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         resp = np.atleast_1d(np.asarray(self.responses, dtype=float))
         if pts.shape[0] != resp.shape[0]:

@@ -386,62 +386,60 @@ def pce_fit_regression(
 ) -> PceModel:
     """Least-squares fit of the coefficients on an evaluated design.
 
-    The basis matrix is column-equilibrated and solved by SVD least
-    squares; a condition number beyond 1e10 or a rank deficiency raises
-    :class:`FitError` (try a larger or redrawn design).  Diagnostics carry
-    the normalized empirical error and the analytic leave-one-out error.
+    The basis matrix is column-equilibrated and solved by :func:`_lstsq`,
+    which raises :class:`FitError` on too few points, a rank deficiency or
+    a condition number beyond 1e10 (try a larger or redrawn design).
+    Diagnostics carry the normalized empirical and leave-one-out errors.
     """
     pts, y = design.points, design.responses
-    n, p = pts.shape[0], basis.size
-    if n < p:
-        raise FitError(f"regression needs at least {p} points, got {n}")
     psi = basis.evaluate(physical_to_basis(rv, pts))
     scale = np.linalg.norm(psi, axis=0)
     if np.any(scale <= 0.0):
         raise FitError("a basis column vanishes on the design")
     psi_eq = psi / scale
-    coef_eq, _, rank, sv = np.linalg.lstsq(psi_eq, y, rcond=None)
-    if rank < p:
-        raise FitError(
-            f"rank-deficient basis matrix (rank {rank} < {p}); "
-            "increase the design size or redraw it"
-        )
-    cond = float(sv[0] / sv[-1])
-    if cond > _COND_LIMIT:
-        raise FitError(
-            f"basis matrix ill conditioned (cond {cond:.3g}); "
-            "increase the design size or redraw it"
-        )
+    coef_eq, cond = _lstsq(psi_eq, y, "regression")
     coef = coef_eq / scale
     resid = y - psi @ coef
     y_var = float(np.var(y))
     emp = float(np.mean(resid**2)) / y_var if y_var > 0.0 else (
         0.0 if np.allclose(resid, 0.0, atol=1e-12) else math.inf
     )
-    loo, loo_ok = _loo_from_qr(psi_eq, y, resid, y_var)
     diagnostics = {
-        "n_points": n,
-        "basis_size": p,
+        "n_points": pts.shape[0],
+        "basis_size": basis.size,
         "cond": cond,
         "empirical_error": emp,
-        "loo_error": loo,
+        **_loo(psi_eq, resid, y_var),
     }
-    if not loo_ok:
-        diagnostics["loo_undefined"] = True
     return PceModel(basis=basis, coefficients=coef, rv=rv, diagnostics=diagnostics)
 
 
-def _loo_from_qr(a: np.ndarray, y: np.ndarray, resid: np.ndarray, y_var: float):
-    """Leave-one-out MSE from the hat-matrix diagonal (single fit)."""
+def _lstsq(a: np.ndarray, y: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Coefficients of the SVD least-squares fit a c = y, and the condition number of a."""
+    n, p = a.shape
+    if n < p:
+        raise FitError(f"{what} needs at least {p} points, got {n}")
+    coef, _, rank, sv = np.linalg.lstsq(a, y, rcond=None)
+    hint = "increase the design size or redraw it"
+    if rank < p:
+        raise FitError(f"rank-deficient {what} basis (rank {rank} < {p}); {hint}")
+    cond = float(sv[0] / sv[-1])
+    if cond > _COND_LIMIT:
+        raise FitError(f"{what} basis ill conditioned (cond {cond:.3g}); {hint}")
+    return coef, cond
+
+
+def _loo(a: np.ndarray, resid: np.ndarray, y_var: float) -> dict:
+    """Leave-one-out MSE over y_var from the hat-matrix diagonal, which
+    depends on the column space of ``a`` only, not on its scaling."""
     q, _ = np.linalg.qr(a, mode="reduced")
     leverage = np.sum(q * q, axis=1)
     if np.any(leverage >= 1.0 - 1e-10):
-        return math.inf, False
-    loo_resid = resid / (1.0 - leverage)
-    mse = float(np.mean(loo_resid**2))
+        return {"loo_error": math.inf, "loo_undefined": True}
+    mse = float(np.mean((resid / (1.0 - leverage)) ** 2))
     if y_var > 0.0:
-        return mse / y_var, True
-    return (0.0 if mse < 1e-24 else math.inf), True
+        return {"loo_error": mse / y_var}
+    return {"loo_error": 0.0 if mse < 1e-24 else math.inf}
 
 
 def pce_moments(model: PceModel) -> tuple[float, float]:
@@ -505,28 +503,21 @@ def pce_adaptive(
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     rng = make_rng(seed)
-    pts: np.ndarray | None = None
-    resp: np.ndarray | None = None
+    design: ExperimentalDesign | None = None
     best: PceModel | None = None
     best_err = math.inf
-    total_calls = 0
     for p in range(1, p_max + 1):
         basis = basis_for(rv, p)
-        n_target = 2 * basis.size
-        have = 0 if pts is None else pts.shape[0]
-        if n_target > have:
-            new = rv.sample(n_target - have, scheme="latin_hypercube", seed=rng)
-            gnew = evaluate_batch(ls, new, ledger=ledger)
-            total_calls += n_target - have
-            pts = new if pts is None else np.vstack([pts, new])
-            resp = gnew if resp is None else np.concatenate([resp, gnew])
+        have = 0 if design is None else design.size  # each degree adds terms, so the design grows
+        new = rv.sample(2 * basis.size - have, scheme="latin_hypercube", seed=rng)
+        gnew = evaluate_batch(ls, new, ledger=ledger)
+        design = ExperimentalDesign(new, gnew) if design is None else design.extended(new, gnew)
         try:
-            model = pce_fit_regression(rv, basis, ExperimentalDesign(pts, resp))
+            model = pce_fit_regression(rv, basis, design)
         except FitError:
             continue
         err = model.diagnostics["loo_error"]
-        model.diagnostics["degree"] = p
-        model.diagnostics["n_true_calls"] = total_calls
+        model.diagnostics.update(degree=p, n_true_calls=design.size)
         if err < best_err:
             best, best_err = model, err
         if err <= target_err:
@@ -557,7 +548,8 @@ def pce_estimate(
     the expansion over ``n_surrogate`` draws.  ``n_calls`` counts every
     true-model call, including designs of degrees the adaptive loop passed.
     A top-degree basis of more than 10,000 terms raises ``ValueError``
-    before any design is drawn.
+    before any design is drawn.  ``cov`` is the sweep's sampling CoV alone;
+    the fit's own error estimate is ``extras["fit"]["loo_error"]``.
     """
     top = max(p_max if target_error is not None else degree, 0)
     terms = math.comb(rv.dimension + top, top)

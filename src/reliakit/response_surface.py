@@ -18,11 +18,10 @@ from ._blas import one_blas_thread
 from .errors import FitError
 from .estimators import ReliabilityResult, _sweep
 from .limitstate import EvalLedger, LimitState, evaluate_batch
+from .pce import _loo, _lstsq
 from .probmodel import RandomVector, make_rng
 
 __all__ = ["qrs_basis", "qrs_n_coeffs", "QuadraticSurface", "qrs_fit", "qrs_estimate"]
-
-_COND_LIMIT = 1e10
 
 
 def qrs_n_coeffs(m: int, include_cross: bool = True) -> int:
@@ -40,9 +39,9 @@ def qrs_basis(x, include_cross: bool = True) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     n, m = pts.shape
     cols = [np.ones((n, 1)), pts, pts**2]
-    if include_cross and m > 1:
-        cross = [pts[:, [i]] * pts[:, [j]] for i in range(m) for j in range(i + 1, m)]
-        cols.append(np.hstack(cross))
+    if include_cross:
+        i, j = np.triu_indices(m, 1)
+        cols.append(pts[:, i] * pts[:, j])
     return np.hstack(cols)
 
 
@@ -80,13 +79,9 @@ class QuadraticSurface:
 
     def coefficients(self, include_cross: bool = True) -> np.ndarray:
         """Coefficient vector in :func:`qrs_basis` column order."""
-        m = self.dimension
         parts = [np.array([self.constant]), self.linear, np.diag(self.quadratic)]
-        if include_cross and m > 1:
-            cross = [
-                2.0 * self.quadratic[i, j] for i in range(m) for j in range(i + 1, m)
-            ]
-            parts.append(np.array(cross))
+        if include_cross:
+            parts.append(2.0 * self.quadratic[np.triu_indices(self.dimension, 1)])
         return np.concatenate(parts)
 
     def to_limit_state(self, name: str = "qrs") -> LimitState:
@@ -102,19 +97,18 @@ def qrs_fit(points, responses, include_cross: bool = True) -> QuadraticSurface:
     """Least-squares quadratic fit on an evaluated design.
 
     The regression runs on standardized inputs (columns centered and scaled
-    by their standard deviation) through an orthogonal decomposition; the
-    normal equations are never formed.  A design with fewer points than
-    coefficients, a degenerate column, or a rank-deficient basis raises
-    :class:`FitError`.
+    by their standard deviation) through the SVD solve that the chaos
+    expansion's fit shares; the normal equations are never formed.  A
+    design with fewer points than coefficients, a degenerate column, or a
+    rank-deficient or ill-conditioned basis raises :class:`FitError`.
+    Diagnostics carry the analytic leave-one-out error of the quadratic
+    basis, normalized by the variance of the responses.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     y = np.asarray(responses, dtype=float).reshape(-1)
     n, m = pts.shape
     if y.size != n:
         raise ValueError("points and responses disagree on N")
-    p = qrs_n_coeffs(m, include_cross)
-    if n < p:
-        raise FitError(f"quadratic fit needs at least {p} points in dimension {m}, got {n}")
 
     center = pts.mean(axis=0)
     scale = pts.std(axis=0)
@@ -123,35 +117,25 @@ def qrs_fit(points, responses, include_cross: bool = True) -> QuadraticSurface:
     s = (pts - center) / scale
 
     a = qrs_basis(s, include_cross=include_cross)
-    coef, _, rank, sv = np.linalg.lstsq(a, y, rcond=None)
-    if rank < a.shape[1]:
-        raise FitError(f"rank-deficient quadratic basis (rank {rank} < {a.shape[1]})")
-    cond = float(sv[0] / sv[-1])
-    if cond > _COND_LIMIT:
-        raise FitError(f"quadratic basis is ill conditioned (cond {cond:.3g})")
+    coef, cond = _lstsq(a, y, "quadratic fit")
 
-    # Coefficients of the standardized monomials.
-    c0 = coef[0]
-    clin = coef[1 : 1 + m]
-    csq = coef[1 + m : 1 + 2 * m]
-    cmat = np.diag(csq)
-    if include_cross and m > 1:
-        k = 1 + 2 * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                cmat[i, j] = cmat[j, i] = 0.5 * coef[k]
-                k += 1
+    # Quadratic form of the standardized monomials.
+    cmat = np.diag(coef[1 + m : 1 + 2 * m])
+    if include_cross:
+        i, j = np.triu_indices(m, 1)
+        cmat[i, j] = cmat[j, i] = 0.5 * coef[1 + 2 * m :]
 
     # Substitute s = Dinv (x - center) to recover raw-monomial coefficients.
     dinv = 1.0 / scale
+    clin = dinv * coef[1 : 1 + m]
     b = cmat * np.outer(dinv, dinv)
-    lin = dinv * clin - 2.0 * b @ center
-    const = float(c0 - (dinv * clin) @ center + center @ b @ center)
+    lin = clin - 2.0 * b @ center
+    const = float(coef[0] - clin @ center + center @ b @ center)
 
     resid = y - a @ coef
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0.0 else 1.0
-    surf = QuadraticSurface(
+    return QuadraticSurface(
         constant=const,
         linear=lin,
         quadratic=b,
@@ -160,10 +144,10 @@ def qrs_fit(points, responses, include_cross: bool = True) -> QuadraticSurface:
             "r_squared": r2,
             "rms_residual": float(np.sqrt(np.mean(resid**2))),
             "n_points": n,
-            "n_coeffs": p,
+            "n_coeffs": a.shape[1],
+            **_loo(a, resid, float(np.var(y))),
         },
     )
-    return surf
 
 
 @one_blas_thread
@@ -181,11 +165,17 @@ def qrs_estimate(
     A Latin-hypercube design of ``n_design`` points (default three times
     the number of coefficients) is evaluated and fitted by :func:`qrs_fit`;
     the surface is then swept by crude Monte Carlo over ``n_surrogate``
-    draws.  Only the design costs true-model calls.
+    draws.  Only the design costs true-model calls.  A design smaller than
+    the number of coefficients raises ``ValueError`` before any draw.
+    ``cov`` is the sweep's sampling CoV alone; the fit's own error estimate
+    is ``extras["fit"]["loo_error"]``.
     """
     rng = make_rng(seed)
+    p = qrs_n_coeffs(rv.dimension, include_cross)
     if n_design is None:
-        n_design = 3 * qrs_n_coeffs(rv.dimension, include_cross)
+        n_design = 3 * p
+    if n_design < p:
+        raise ValueError(f"n_design {n_design} is below the {p} quadratic coefficients")
     pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)
     surf = qrs_fit(pts, evaluate_batch(ls, pts, ledger=ledger), include_cross=include_cross)
     (pf,), (cov,) = _sweep(rv, lambda xs: surf.predict(xs) <= 0.0, n_surrogate, rng)

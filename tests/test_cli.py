@@ -282,21 +282,24 @@ class TestConfigValidation:
         [{"name": "ak", "budget": 5}, {"name": "metais", "budget": 3}],
         ids=["ak", "metais"],
     )
-    def test_budget_below_initial_design_exits_two(self, tmp_path, capsys, monkeypatch, method):
+    def test_budget_below_initial_design_exits_two(self, tmp_path, capsys, ledgers, method):
         # the schema admits the budget; the method rejects it before any call
-        ledgers = []
-
-        class RecordingLedger(reliakit.EvalLedger):
-            def __init__(self):
-                super().__init__()
-                ledgers.append(self)
-
-        monkeypatch.setattr(reliakit.cli, "EvalLedger", RecordingLedger)
         cfg = write_config(tmp_path, {"problem": {"benchmark": "waarts"}, "method": method})
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: budget")
         assert "below the initial design size" in err
+        assert "Traceback" not in err
+        assert [ledger.count for ledger in ledgers] == [0]
+
+    def test_qrs_design_below_coefficient_count_exits_two(self, tmp_path, capsys, ledgers):
+        # 3 points cannot fit the 6 quadratic coefficients in 2-D: a config
+        # error before the design is drawn, not a failed fit after 3 calls
+        method = {"name": "qrs", "n_design": 3}
+        cfg = write_config(tmp_path, {"problem": {"benchmark": "waarts"}, "method": method})
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
         assert "Traceback" not in err
         assert [ledger.count for ledger in ledgers] == [0]
 
@@ -347,6 +350,7 @@ class TestConfigValidation:
         [
             ("mc", "n"),
             ("is", "n"),
+            ("qrs", "n_design"),
             ("qrs", "n_surrogate"),
             ("pce", "n_surrogate"),
             ("ak", "n_pool"),
@@ -407,6 +411,20 @@ class TestConfigValidation:
             },
         )
         assert main(["run", "--config", cfg]) == 2
+
+
+@pytest.fixture
+def ledgers(monkeypatch):
+    """Every ledger the CLI creates, in order."""
+    made = []
+
+    class RecordingLedger(reliakit.EvalLedger):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(reliakit.cli, "EvalLedger", RecordingLedger)
+    return made
 
 
 @pytest.fixture

@@ -36,6 +36,7 @@ from reliakit import (
     pce_moments,
     pce_pf,
     physical_to_basis,
+    qrs_fit,
     standard_normal_vector,
     truncation_set,
 )
@@ -621,23 +622,34 @@ class TestLeaveOneOut:
         err = pce_fit_regression(rv, basis, _design_for(rv, ls, 30, 17)).diagnostics["loo_error"]
         assert err < 1e-10
 
-    def test_matches_brute_force_refits(self):
+    @staticmethod
+    def pce_on(rv, basis, pts, y):
+        model = pce_fit_regression(rv, basis, ExperimentalDesign(pts, y))
+        return model.diagnostics["loo_error"], model.predict
+
+    @staticmethod
+    def qrs_on(rv, basis, pts, y):
+        surf = qrs_fit(pts, y)
+        return surf.diagnostics["loo_error"], surf.predict
+
+    @pytest.mark.parametrize("fit", ["pce", "qrs"])
+    def test_matches_brute_force_refits(self, fit):
         # hat-matrix shortcut against literally refitting without each point
+        fit_on = getattr(self, f"{fit}_on")
         rv = standard_normal_vector(2)
         ls = benchmark_waarts_like()
         basis = basis_for(rv, 2)
         design = _design_for(rv, ls, 20, 18)
-        fast = pce_fit_regression(rv, basis, design).diagnostics["loo_error"]
+        x, y = design.points, design.responses
+        fast, _ = fit_on(rv, basis, x, y)
 
         n = design.size
         sq = []
         for i in range(n):
             keep = np.arange(n) != i
-            sub = ExperimentalDesign(design.points[keep], design.responses[keep])
-            sub_model = pce_fit_regression(rv, basis, sub)
-            pred = float(sub_model.predict(design.points[i][None, :])[0])
-            sq.append((design.responses[i] - pred) ** 2)
-        brute = (sum(sq) / n) / float(np.var(design.responses))
+            _, predict = fit_on(rv, basis, x[keep], y[keep])
+            sq.append((y[i] - float(predict(x[i][None, :])[0])) ** 2)
+        brute = (sum(sq) / n) / float(np.var(y))
         assert fast == pytest.approx(brute, rel=1e-8)
 
     def test_noise_only_model_scores_near_one(self):

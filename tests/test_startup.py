@@ -1,5 +1,5 @@
-"""What a fresh process loads: no scipy.stats, and scipy.optimize and scipy.cluster
-only once kriging needs them."""
+"""What a fresh process loads: no scipy.stats, scipy.optimize and scipy.cluster only
+once kriging needs them, and scipy.spatial only once a design is built."""
 
 import json
 import os
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-LAZY = ("scipy.stats", "scipy.optimize", "scipy.cluster")
+LAZY = ("scipy.stats", "scipy.optimize", "scipy.cluster", "scipy.spatial")
 
 STARTUP = """
 import json, sys, tempfile

@@ -49,6 +49,13 @@ change and where it is, and the paths of any other values that differ
   squares for that degree-6 compare expansion (on standard normal germ
   rows) and that degree-4 five-family expansion, so that a change to how
   the sum is taken shows in one entry even where a pf count does not move;
+* the two least-squares fits on seeded Latin-hypercube designs: the
+  quadratic surface with and without cross terms on four-branch (18
+  points) and with them on the compare problem (45 points), and the
+  chaos expansion at degree 3 on four-branch and at degree 6 on the
+  compare problem; each with its coefficients and its diagnostics
+  (``cond``, ``r_squared`` or ``empirical_error``, ``loo_error``), so
+  that an edit to the shared solve shows at bit level;
 * 50 instrumental draws, with the sampler record, for two targets so rare
   that lock-step chains supply the draws: an exact linear surrogate at
   beta = 4.5 in standard normal space (one chain, with burn-in), and a
@@ -118,6 +125,7 @@ from reliakit import (  # noqa: E402
     pce_fit_regression,
     pce_pf,
     physical_to_basis,
+    qrs_fit,
     sample_instrumental,
     standard_normal_vector,
 )
@@ -361,6 +369,25 @@ def _pce_tiles(spec: dict) -> dict:
     return out
 
 
+def _lsq_fits(spec: dict) -> dict:
+    four = (benchmark_waarts(), standard_normal_vector(2))
+    compare = cli._build_problem(spec["problem"])
+    out = {}
+    for label, (ls, rv), n, cross in (
+        ("qrs_four_branch", four, 18, True),
+        ("qrs_four_branch_no_cross", four, 18, False),
+        ("qrs_compare", compare, 45, True),
+    ):
+        pts = rv.sample(n, scheme="latin_hypercube", seed=0)
+        surf = qrs_fit(pts, evaluate_batch(ls, pts), include_cross=cross)
+        out[label] = {"coefficients": surf.coefficients(cross), "diagnostics": surf.diagnostics}
+    for label, (ls, rv), degree in (("pce_four_branch_degree3", four, 3),
+                                    ("pce_compare_degree6", compare, 6)):
+        model = _fitted_pce(rv, degree, lambda x: evaluate_batch(ls, x))
+        out[label] = {"coefficients": model.coefficients, "diagnostics": model.diagnostics}
+    return out
+
+
 def _instrumental_draws(ls, rv, n_design) -> dict:
     pts = initial_design(rv, n_design, seed=1)
     design = ExperimentalDesign(pts, evaluate_batch(ls, pts))
@@ -501,6 +528,7 @@ def main(argv=None) -> int:
         "pce_maps": _pce_maps(),
         "pce_predict": _pce_predict(spec),
         "pce_tiles": _pce_tiles(spec),
+        "lsq_fits": _lsq_fits(spec),
         "rare_instrumental": _rare_instrumental(),
         "joint_pdf": _joint_pdf(spec),
         "expression": _expressions(),
