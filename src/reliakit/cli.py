@@ -10,7 +10,6 @@ plus seed reproduces output files byte for byte.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -33,7 +32,7 @@ from .limitstate import (
 )
 from .metais import metais_estimate
 from .pce import pce_estimate
-from .probmodel import Marginal, RandomVector, make_rng, standard_normal_vector
+from .probmodel import _FAMILIES, Marginal, RandomVector, make_rng, standard_normal_vector
 from .response_surface import qrs_estimate
 
 __all__ = ["main", "run", "compare"]
@@ -48,7 +47,7 @@ _NUMERICAL_ERRORS = (ReliakitError, np.linalg.LinAlgError, OverflowError, Floati
 _MARGINAL_SCHEMA = {
     "type": "object",
     "properties": {
-        "family": {"enum": ["gaussian", "uniform", "lognormal", "gamma", "beta"]},
+        "family": {"enum": list(_FAMILIES)},
         "params": {
             "type": "array",
             "items": {"type": "number"},
@@ -284,9 +283,7 @@ def _typed_options(method: dict) -> dict:
     jsonschema accepts 200.0 as an "integer", so integers are cast to int
     here, once, before any option reaches a slice or a loop bound.
     """
-    schema = _METHOD_OPTION_SCHEMAS.get(method["name"])
-    if schema is None:
-        raise ConfigError(f"unknown method {method['name']!r}")
+    schema = _METHOD_OPTION_SCHEMAS[method["name"]]
     return {
         key: _CASTS.get(schema[key].get("type"), lambda v: v)(val)
         for key, val in method.items()
@@ -333,54 +330,28 @@ def _run_method(ls: LimitState, rv: RandomVector, method: dict, seed: int) -> di
     return result.to_dict()
 
 
+def _cell(value, spec: str, missing: str = "") -> str:
+    return missing if value is None else format(value, spec)
+
+
 def _summary_line(doc: dict) -> str:
-    pf = doc.get("pf")
-    beta = doc.get("beta")
-    cov = doc.get("cov")
-    fmt = lambda v, spec: ("nan" if v is None else format(v, spec))
-    if doc.get("method") == "metais":
-        calls = f"{doc['n_calls_doe']}+{doc['n_calls_corr']}"
-    else:
-        calls = str(doc.get("n_calls"))
     return (
-        f"method={doc.get('method')} pf={fmt(pf, '.6e')} "
-        f"beta={fmt(beta, '.4f')} cov={fmt(cov, '.4f')} calls={calls}"
+        f"method={doc['method']} pf={_cell(doc.get('pf'), '.6e', 'nan')} "
+        f"beta={_cell(doc.get('beta'), '.4f', 'nan')} "
+        f"cov={_cell(doc.get('cov'), '.4f', 'nan')} calls={doc['n_calls']}"
     )
 
 
+# A failed method's doc holds none of these keys, so its cells stay empty.
+_CSV_CELLS = (("pf", ".10e"), ("beta", ".8f"), ("cov", ".8f"), ("n_calls", "d"))
+
+
 def _result_csv_rows(docs: list[dict]) -> str:
-    buf = io.StringIO()
-    buf.write("method,pf,beta,cov,n_calls,status\n")
+    rows = ["method,pf,beta,cov,n_calls,status\n"]
     for d in docs:
-        if d.get("status") == "failed":
-            # the reason already went to stderr; the cell stays an enum so
-            # downstream parsers never meet free text
-            buf.write(f"{d.get('method')},,,,,failed\n")
-            continue
-        pf = d.get("pf")
-        beta = d.get("beta")
-        cov = d.get("cov")
-        cell = lambda v, spec: "" if v is None else format(v, spec)
-        buf.write(
-            f"{d['method']},{cell(pf, '.10e')},{cell(beta, '.8f')},"
-            f"{cell(cov, '.8f')},{d.get('n_calls')},ok\n"
-        )
-    return buf.getvalue()
-
-
-def _resolve_output(cfg: dict, args) -> tuple[str | None, str]:
-    out_cfg = cfg.get("output", {})
-    path = args.output or out_cfg.get("path")
-    form_ = out_cfg.get("format", "json")
-    if path is not None:
-        out_dir = os.environ.get("RELIAKIT_OUTPUT_DIR")
-        if out_dir and not os.path.isabs(path):
-            path = os.path.join(out_dir, path)
-        if path.endswith(".csv"):
-            form_ = "csv"
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"output directory of {path!r} does not exist")
-    return path, form_
+        cells = (_cell(d.get(key), spec) for key, spec in _CSV_CELLS)
+        rows.append(f"{d['method']},{','.join(cells)},{d.get('status', 'ok')}\n")
+    return "".join(rows)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -395,24 +366,37 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return int(cfg.get("seed", 0))
+def _set_up(args, entry: str) -> tuple:
+    """Everything a subcommand checks before its first model call, in order.
+
+    Returns the problem entry, the methods with the overrides applied, the
+    seed, the output path and format, and the limit state and inputs.
+    """
+    cfg = _load_config(args.config, require=entry)
+    listed = cfg[entry] if entry == "methods" else [cfg[entry]]
+    methods = [_apply_overrides(m, args.method_override or []) for m in listed]
+    seed = int(cfg.get("seed", 0) if args.seed is None else args.seed)
+    out_cfg = cfg.get("output", {})
+    path = args.output or out_cfg.get("path")
+    form_ = out_cfg.get("format", "json")
+    if path is not None:
+        out_dir = os.environ.get("RELIAKIT_OUTPUT_DIR")
+        if out_dir and not os.path.isabs(path):
+            path = os.path.join(out_dir, path)
+        if path.endswith(".csv"):
+            form_ = "csv"
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"output directory of {path!r} does not exist")
+    return cfg["problem"], methods, seed, path, form_, _build_problem(cfg["problem"])
 
 
 def run(args) -> int:
-    cfg = _load_config(args.config, require="method")
-    method = _apply_overrides(cfg["method"], args.method_override or [])
-    seed = _resolve_seed(cfg, args)
-    path, form_ = _resolve_output(cfg, args)
-    ls, rv = _build_problem(cfg["problem"])
-
+    problem, (method,), seed, path, form_, (ls, rv) = _set_up(args, "method")
     doc = _run_method(ls, rv, method, seed)
-    record = {"problem": cfg["problem"], "seed": seed, "result": doc}
     if form_ == "csv":
         text = _result_csv_rows([doc])
     else:
+        record = {"problem": problem, "seed": seed, "result": doc}
         text = json.dumps(record, sort_keys=True, indent=2) + "\n"
     _write_text(path, text)
     print(_summary_line(doc), file=sys.stderr)
@@ -420,24 +404,18 @@ def run(args) -> int:
 
 
 def compare(args) -> int:
-    cfg = _load_config(args.config, require="methods")
-    seed = _resolve_seed(cfg, args)
-    path, _ = _resolve_output(cfg, args)
-    ls, rv = _build_problem(cfg["problem"])
-
+    _, methods, seed, path, _, (ls, rv) = _set_up(args, "methods")
     docs: list[dict] = []
-    failures = 0
-    for i, method in enumerate(cfg["methods"]):
-        method = _apply_overrides(method, args.method_override or [])
+    for i, method in enumerate(methods):
         try:
-            doc = _run_method(ls, rv, method, seed + i)
+            docs.append(_run_method(ls, rv, method, seed + i))
         except _NUMERICAL_ERRORS as exc:
-            doc = {"method": method["name"], "status": "failed", "error": str(exc)}
-            failures += 1
+            # the reason goes to stderr; the CSV's status cell stays an enum
+            # so downstream parsers never meet free text
             print(f"method {method['name']} failed: {exc}", file=sys.stderr)
-        docs.append(doc)
+            docs.append({"method": method["name"], "status": "failed"})
     _write_text(path, _result_csv_rows(docs))
-    return _EXIT_NUMERICAL if failures == len(docs) else _EXIT_OK
+    return _EXIT_NUMERICAL if all(d.get("status") == "failed" for d in docs) else _EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -363,6 +363,12 @@ def krig_predict_batch(model: KrigingModel, xs):
     return mu, sd
 
 
+def _ratio(num, sd) -> np.ndarray:
+    """num / sd elementwise: +-inf where only sd vanishes, NaN where both do."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / sd
+
+
 def u_function(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     """Sign-uncertainty ratio |mu| / sd, elementwise.
 
@@ -370,10 +376,8 @@ def u_function(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     mu = 0 where the point sits exactly on the predicted boundary and the
     ratio is 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.abs(mu) / sd
-    u[(sd == 0.0) & (mu == 0.0)] = 0.0
-    u[(sd == 0.0) & (mu != 0.0)] = math.inf
+    u = _ratio(np.abs(mu), sd)
+    u[np.isnan(u)] = 0.0
     return u
 
 
@@ -383,13 +387,8 @@ def classification_probability(mu: np.ndarray, sd: np.ndarray, t: float = 0.0) -
     With zero deviation this degenerates to the exact indicator of
     mu <= t.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (t - mu) / sd
-    out = ndtr(z)
-    zero = sd == 0.0
-    if zero.any():
-        out = np.where(zero, (mu <= t).astype(float), out)
-    return out
+    z = _ratio(t - mu, sd)
+    return np.where(np.isnan(z), 1.0, ndtr(z))
 
 
 def margin_probability(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
@@ -400,13 +399,8 @@ def margin_probability(mu: np.ndarray, sd: np.ndarray, k: float) -> np.ndarray:
     """
     if k <= 0.0:
         raise ValueError("k must be > 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = mu / sd
-    out = ndtr(k - z) - ndtr(-k - z)
-    zero = sd == 0.0
-    if zero.any():
-        out = np.where(zero, (mu == 0.0).astype(float), out)
-    return out
+    z = _ratio(mu, sd)
+    return np.where(np.isnan(z), 1.0, ndtr(k - z) - ndtr(-k - z))
 
 
 def _most_uncertain(u: np.ndarray, sd: np.ndarray) -> int:

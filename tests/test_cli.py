@@ -272,6 +272,15 @@ class TestConfigValidation:
         assert "does not exist" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
 
+    def test_compare_checks_every_override_before_any_call(self, tmp_path, capsys, ledgers):
+        # n is an mc option, not a form one: the override fails on the
+        # second method, before the first one has run
+        methods = [{"name": "mc", "n": 100}, {"name": "form"}]
+        cfg = write_config(tmp_path, {"problem": {"benchmark": "waarts"}, "methods": methods})
+        assert main(["compare", "--config", cfg, "--method-override", "n=200"]) == 2
+        assert "method options invalid after overrides" in capsys.readouterr().err
+        assert ledgers == []
+
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, linear_mc_config(str(tmp_path), n=100))
         assert main(["run", "--config", cfg]) == 2
@@ -304,11 +313,12 @@ class TestConfigValidation:
         assert [ledger.count for ledger in ledgers] == [0]
 
     @staticmethod
-    def run_counting_calls(cfg):
-        """Run the config in a subprocess under a timeout, printing each ledger's count."""
+    def run_counting_calls(*cfgs):
+        """Run each config with ``reliakit run`` in one child interpreter under a
+        timeout; return its exit code, stderr and ledger counts, per config."""
         script = "\n".join(
             [
-                "import sys",
+                "import contextlib, io, json, sys, traceback",
                 "from reliakit import cli",
                 "ledgers = []",
                 "class RecordingLedger(cli.EvalLedger):",
@@ -316,15 +326,26 @@ class TestConfigValidation:
                 "        super().__init__()",
                 "        ledgers.append(self)",
                 "cli.EvalLedger = RecordingLedger",
-                "code = cli.main(['run', '--config', sys.argv[1]])",
-                "print([ledger.count for ledger in ledgers])",
-                "sys.exit(code)",
+                "runs = []",
+                "for path in sys.argv[1:]:",
+                "    ledgers.clear()",
+                "    out, err = io.StringIO(), io.StringIO()",
+                "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+                "        try:",
+                "            code = cli.main(['run', '--config', path])",
+                "        except Exception:",
+                "            code = None",
+                "            traceback.print_exc()",
+                "    runs.append((code, err.getvalue(), [ledger.count for ledger in ledgers]))",
+                "print(json.dumps(runs))",
             ]
         )
         env = dict(os.environ, PYTHONPATH=str(Path(reliakit.__file__).resolve().parents[1]))
-        return subprocess.run(
-            [sys.executable, "-c", script, cfg], capture_output=True, text=True, timeout=60, env=env
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *cfgs], capture_output=True, text=True, timeout=60, env=env
         )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
 
     def test_oversized_pce_basis_exits_two_before_any_call(self, tmp_path):
         # degree 20 in 10 inputs is 30,045,015 basis terms: listing them alone
@@ -339,39 +360,50 @@ class TestConfigValidation:
                 "method": {"name": "pce", "degree": 20},
             },
         )
-        proc = self.run_counting_calls(cfg)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("config error:")
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout.splitlines() == ["[0]"]
+        [(code, err, calls)] = self.run_counting_calls(cfg)
+        assert code == 2, err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert calls == [0]
 
-    @pytest.mark.parametrize(
-        "method, option",
-        [
-            ("mc", "n"),
-            ("is", "n"),
-            ("qrs", "n_design"),
-            ("qrs", "n_surrogate"),
-            ("pce", "n_surrogate"),
-            ("ak", "n_pool"),
-            ("ak", "n_bounds"),
-            ("metais", "n_epsilon"),
-            ("metais", "n_corr"),
-            ("metais", "n_bounds"),
-        ],
-    )
-    def test_sample_size_past_the_cap_exits_two_before_any_call(self, tmp_path, method, option):
+    PAST_THE_CAP = [
+        ("mc", "n"),
+        ("is", "n"),
+        ("qrs", "n_design"),
+        ("qrs", "n_surrogate"),
+        ("pce", "n_surrogate"),
+        ("ak", "n_pool"),
+        ("ak", "n_bounds"),
+        ("metais", "n_epsilon"),
+        ("metais", "n_corr"),
+        ("metais", "n_bounds"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def past_the_cap_runs(self, tmp_path_factory):
+        """Every PAST_THE_CAP config, one row past the cap, run in one child."""
+        tmp = tmp_path_factory.mktemp("past_the_cap")
+        cfgs = [
+            write_config(
+                tmp,
+                {"problem": {"benchmark": "waarts"}, "method": {"name": method, option: 10**9 + 1}},
+                name=f"{method}_{option}.json",
+            )
+            for method, option in self.PAST_THE_CAP
+        ]
+        return dict(zip(self.PAST_THE_CAP, self.run_counting_calls(*cfgs)))
+
+    @pytest.mark.parametrize("method, option", PAST_THE_CAP)
+    def test_sample_size_past_the_cap_exits_two_before_any_call(
+        self, past_the_cap_runs, method, option
+    ):
         # one row past the cap: the schema refuses a run that would take
         # days, before a ledger exists, so no model call is made
-        cfg = write_config(
-            tmp_path,
-            {"problem": {"benchmark": "waarts"}, "method": {"name": method, option: 10**9 + 1}},
-        )
-        proc = self.run_counting_calls(cfg)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("config error:")
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout.splitlines() == ["[]"]
+        code, err, calls = past_the_cap_runs[method, option]
+        assert code == 2, err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert calls == []
 
     @pytest.mark.parametrize(
         "expression",
@@ -716,6 +748,24 @@ class TestSurrogateMethods:
         # true-model cost is only the design, not the surrogate sweep
         assert record["result"]["n_calls"] < 100
 
+    def test_qrs_design_at_coefficient_count_has_no_loo_error(self, tmp_path):
+        # 6 points interpolate the 6 quadratic coefficients in 2-D: every
+        # leverage is 1, so the leave-one-out error is undefined
+        out = str(tmp_path / "q.json")
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"benchmark": "waarts"},
+                "method": {"name": "qrs", "n_design": 6, "n_surrogate": 10_000},
+                "seed": 1,
+                "output": {"path": out},
+            },
+        )
+        assert main(["run", "--config", cfg]) == 0
+        fit = json.loads(open(out).read())["result"]["extras"]["fit"]
+        assert fit["loo_undefined"] is True
+        assert fit["loo_error"] is None
+
     def test_pce_fixed_degree(self, tmp_path):
         out = str(tmp_path / "p.json")
         cfg = write_config(
@@ -751,9 +801,10 @@ class TestSurrogateMethods:
         )
         assert main(["run", "--config", cfg]) == 0
         err = capsys.readouterr().err
-        assert "+" in err  # doe+corr cost split
         record = json.loads(open(out).read())
         res = record["result"]
+        # the summary line prints the total; the JSON keeps the doe+corr split
+        assert err.split()[-1] == f"calls={res['n_calls']}"
         assert res["n_calls"] == res["n_calls_doe"] + res["n_calls_corr"]
         assert res["pf"] == pytest.approx(0.0227501, rel=0.5)
         trace = res["extras"]["doe_trace"]

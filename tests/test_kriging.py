@@ -34,7 +34,7 @@ from reliakit import (
     standard_normal_vector,
     u_function,
 )
-from reliakit.kriging import _most_uncertain
+from reliakit.kriging import _build, _most_uncertain
 
 
 def one_d_design(n=8, seed=0, fn=None):
@@ -208,6 +208,34 @@ class TestClosedForms:
         xs = np.linspace(-1.0, 3.0, 400)[:, None]
         _, sd = krig_predict_batch(model, xs)
         assert np.all(sd >= 0.0)
+
+    @staticmethod
+    def shifted_build(min_eigenvalue):
+        """Build from the design's correlation matrix shifted to the given
+        smallest eigenvalue, as roundoff leaves a near-singular matrix."""
+        design = one_d_design(8)
+        kernel = CorrelationKernel((0.5,))
+        r0 = kernel_matrix(kernel, design.points)
+        shift = np.linalg.eigvalsh(r0)[0] - min_eigenvalue
+        return design, _build(design, "constant", kernel, r0 - shift * np.eye(design.size))
+
+    def test_nugget_escalates_until_the_factorization_succeeds(self):
+        # 1e-10 and 1e-9 leave an eigenvalue below zero; 1e-8 lifts it
+        _, model = self.shifted_build(-5e-9)
+        assert model.nugget == pytest.approx(1e-8)
+
+    def test_nugget_past_the_cap_raises(self):
+        with pytest.raises(ConditioningError, match="nugget cap"):
+            self.shifted_build(-1e-5)
+
+    def test_negative_variance_is_clamped_and_recorded(self):
+        # the shifted factor no longer matches the kernel the prediction
+        # uses, so the variance at the design rows comes out negative
+        design, model = self.shifted_build(-5e-9)
+        assert "variance_clamp" not in model.diagnostics
+        _, sd = krig_predict_batch(model, design.points)
+        assert np.all(sd >= 0.0)
+        assert model.diagnostics["variance_clamp"] > 1e-8 * model.sigma2
 
     def test_too_few_points_for_trend(self):
         from reliakit import FitError
@@ -471,6 +499,19 @@ class TestEnrichment:
         # draws that are all design points leave nothing new either
         with pytest.raises(MarginCollapsed, match="no margin draw is a new point"):
             enrich_margin(model, x, seed=10)
+
+    def test_top_up_when_clusters_hold_only_design_points(self):
+        # three clusters are copies of design points and yield nothing; the
+        # fourth yields its closest member, and the top-up fills the other
+        # three picks from its remaining new draws
+        model, _ = self.waarts_model()
+        design_pts = model.design.points[:3]
+        fresh = np.array([5.0, 5.0]) + 0.01 * np.arange(5)[:, None]
+        draws = np.vstack([np.repeat(design_pts, 4, axis=0), fresh])
+        pts = enrich_margin(model, draws, n_clusters=4, seed=11)
+        assert pts.shape == (4, 2)
+        assert all(np.any(np.all(fresh == p, axis=1)) for p in pts)
+        assert np.unique(pts, axis=0).shape[0] == 4
 
 
 class TestBounds:

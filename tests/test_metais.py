@@ -29,10 +29,10 @@ from reliakit import (
 )
 
 
-def certain_all_fail_model(rv, dim=2):
-    """Surrogate with zero deviation and negative mean everywhere."""
+def certain_model(rv, response=-2.0, dim=2):
+    """Surrogate with zero deviation and mean ``response`` everywhere."""
     pts = initial_design(rv, 6, seed=0)
-    design = ExperimentalDesign(pts, np.full(6, -2.0))
+    design = ExperimentalDesign(pts, np.full(6, response))
     return krig_build(design, "constant", CorrelationKernel((1.0,) * dim))
 
 
@@ -62,7 +62,7 @@ def ambiguous_waarts_model(n=25, seed=3):
 class TestPfEpsilon:
     def test_certain_failure_gives_one(self):
         rv = standard_normal_vector(2)
-        model = certain_all_fail_model(rv)
+        model = certain_model(rv)
         val, cov = estimate_pf_epsilon(model, rv, n_eps=2000, seed=5)
         assert val == 1.0
         assert cov == 0.0
@@ -102,7 +102,7 @@ class TestSampler:
     def test_reduces_to_input_law_when_pi_is_one(self):
         # all-fail surrogate: the instrumental is exactly f_X
         rv = standard_normal_vector(2)
-        model = certain_all_fail_model(rv)
+        model = certain_model(rv)
         xs, _ = sample_instrumental(model, rv, 1500, seed=10)
         for j in range(2):
             res = stats.kstest(xs[:, j], stats.norm.cdf)
@@ -157,7 +157,7 @@ class TestSampler:
         assert stats.kstest(xs[:, 0], stats.truncnorm(2.0, np.inf).cdf).pvalue > 0.01
         assert stats.kstest(xs[:, 1], stats.norm.cdf).pvalue > 0.01
 
-    def test_rare_event_falls_back_to_slice_chain(self):
+    def test_rare_event_falls_back_to_chains(self):
         # pf_epsilon = Phi(-4.5) ~ 3.4e-6 would need ~1.5e7 proposals for 50
         # draws; the switch comes after a few batches at most
         rv = standard_normal_vector(2)
@@ -312,6 +312,17 @@ class TestFullEstimate:
         assert ledger.count == 50
         assert res.extras.get("prebuilt_surrogate") is True
         assert res.converged
+
+    def test_certain_safe_prebuilt_model_raises_before_any_call(self):
+        # pi is 0 everywhere, so pf_epsilon is 0 and no instrumental density exists
+        rv = standard_normal_vector(2)
+        ledger = EvalLedger()
+        with pytest.raises(EstimatorError, match="zero probability to failure"):
+            metais_estimate(
+                benchmark_linear(2.0, dimension=2), rv, n_epsilon=10_000,
+                model=certain_model(rv, response=2.0), seed=25, ledger=ledger,
+            )
+        assert ledger.count == 0
 
     @pytest.mark.parametrize(
         "prebuilt, options",
