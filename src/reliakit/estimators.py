@@ -402,21 +402,16 @@ def form(
             c = 2.0 * float(np.linalg.norm(u)) / gnorm + 10.0
             merit0 = 0.5 * float(u @ u) + c * abs(g)
             lam = 1.0
-            u_new, g_new = u + direction, None
-            for _ in range(7):
-                u_try = u + lam * direction
-                g_try = g_std(u_try)
-                if 0.5 * float(u_try @ u_try) + c * abs(g_try) < merit0:
-                    u_new, g_new = u_try, g_try
-                    break
-                lam *= 0.5
-            if g_new is None:
-                # Line search stalled; take the smallest step and move on.
+            for k in range(8):  # the last step, 1/128, is taken whatever its merit
                 u_new = u + lam * direction
                 g_new = g_std(u_new)
+                if k == 7 or 0.5 * float(u_new @ u_new) + c * abs(g_new) < merit0:
+                    break
+                lam *= 0.5
             u, g = u_new, g_new
             last_iterate = u.copy()
-        if converged:
+        # converged points are kept once each
+        if converged and all(np.linalg.norm(u - v) > 1e-6 for v, _ in solutions):
             solutions.append((u.copy(), alpha))
 
     if not solutions:
@@ -425,13 +420,8 @@ def form(
             last_iterate=last_iterate,
         )
 
-    # Deduplicate converged points, then keep the closest to the origin.
-    unique: list[tuple[np.ndarray, np.ndarray]] = []
-    for u, a in solutions:
-        if all(np.linalg.norm(u - v) > 1e-6 for v, _ in unique):
-            unique.append((u, a))
-    unique.sort(key=lambda ua: float(np.linalg.norm(ua[0])))
-    u_star, alpha = unique[0]
+    solutions.sort(key=lambda ua: float(np.linalg.norm(ua[0])))
+    u_star, alpha = solutions[0]
     beta = sign * float(np.linalg.norm(u_star))
     pf = float(ndtr(-beta))
     return ReliabilityResult(
@@ -444,6 +434,6 @@ def form(
             "design_point_u": u_star.tolist(),
             "design_point_x": rv.from_standard(u_star[None, :])[0].tolist(),
             "alpha": alpha.tolist(),
-            "n_solutions": len(unique),
+            "n_solutions": len(solutions),
         },
     )

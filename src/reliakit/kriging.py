@@ -166,10 +166,6 @@ class KrigingModel:
     _ft: np.ndarray = field(repr=False, default=None)
     _gci: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def dimension(self) -> int:
-        return self.design.dimension
-
 
 def _build(design: ExperimentalDesign, trend: str, kernel: CorrelationKernel,
            r0: np.ndarray) -> KrigingModel:
@@ -381,13 +377,13 @@ def u_function(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
     return u
 
 
-def classification_probability(mu: np.ndarray, sd: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Probability that the true response lies below t, elementwise.
+def classification_probability(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Probability that the true response lies at or below 0, elementwise.
 
     With zero deviation this degenerates to the exact indicator of
-    mu <= t.
+    mu <= 0.
     """
-    z = _ratio(t - mu, sd)
+    z = _ratio(-mu, sd)
     return np.where(np.isnan(z), 1.0, ndtr(z))
 
 

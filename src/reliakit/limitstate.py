@@ -13,7 +13,7 @@ import ast
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -61,7 +61,6 @@ class LimitState:
     dimension: int
     evaluator: Callable[[np.ndarray], float] | None = None
     name: str = "g"
-    fixed_params: Mapping[str, float] = field(default_factory=dict)
     vector_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -223,7 +222,6 @@ def benchmark_linear(beta0: float, direction=None, dimension: int | None = None)
     return LimitState(
         dimension=m,
         name=f"linear_b{beta0:g}",
-        fixed_params={"beta0": beta0},
         vector_evaluator=vector,
     )
 
@@ -427,6 +425,5 @@ def limit_state_from_expression(
     return LimitState(
         dimension=dimension,
         name=name,
-        fixed_params=params,
         vector_evaluator=vector,
     )

@@ -189,7 +189,7 @@ def truncation_set(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices of total degree <= p in graded lexicographic order."""
     if m < 1 or p < 0:
         raise ValueError("need m >= 1 and p >= 0")
-    if m == 1:
+    if m == 1:  # O(p); the general path below copies range(d) per degree, O(p^2) here
         return tuple((d,) for d in range(p + 1))
     idx = []
     for d in range(p + 1):
@@ -229,10 +229,6 @@ class PceBasis:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def degree(self) -> int:
-        return max(sum(a) for a in self.indices)
 
     def evaluate(self, xi) -> np.ndarray:
         """Basis matrix at basis-space point(s) xi: shape (n, size)."""
@@ -460,20 +456,15 @@ def pce_moments(model: PceModel) -> tuple[float, float]:
 
 
 @one_blas_thread
-def pce_pf(
-    model: PceModel,
-    rv: RandomVector,
-    n: int,
-    seed=None,
-) -> ReliabilityResult:
-    """Failure probability of the surrogate by crude Monte Carlo.
+def pce_pf(model: PceModel, n: int, seed=None) -> ReliabilityResult:
+    """Failure probability of the surrogate by crude Monte Carlo over ``model.rv``.
 
     Zero true-model calls: only the fitted expansion is sampled.  Under a
-    correlation the basis lives in the standard-normal germ u, so (for the
-    model's own ``rv``) the sweep predicts at each drawn u rather than at x(u).
+    correlation the basis lives in the standard-normal germ u, so the sweep
+    predicts at each drawn u rather than at x(u).
     """
-    g = model.predict
-    if not rv.is_independent and rv.to_dict() == model.rv.to_dict():
+    rv, g = model.rv, model.predict
+    if not rv.is_independent:
         rv, g = standard_normal_vector(rv.dimension), model._at_basis
     (pf,), (cov,) = _sweep(rv, lambda xs: g(xs) <= 0.0, n, seed)
     return ReliabilityResult(
@@ -565,6 +556,6 @@ def pce_estimate(
         pts = rv.sample(2 * basis.size, scheme="latin_hypercube", seed=rng)
         g = evaluate_batch(ls, pts, ledger=ledger)
         model = pce_fit_regression(rv, basis, ExperimentalDesign(pts, g))
-    sur = pce_pf(model, rv, n_surrogate, seed=rng)
+    sur = pce_pf(model, n_surrogate, seed=rng)
     extras = {"n_surrogate": n_surrogate, "fit": dict(model.diagnostics)}
     return ReliabilityResult(sur.pf, sur.cov, ledger.count - start, "pce", extras)

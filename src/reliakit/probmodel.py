@@ -236,8 +236,6 @@ def _as_correlation(corr, m: int) -> np.ndarray | None:
         return None
     try:
         cholesky(c, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises LinAlgError
-        raise ModelError("correlation matrix is not positive definite") from exc
     except Exception as exc:
         raise ModelError("correlation matrix is not positive definite") from exc
     return c
@@ -328,20 +326,21 @@ class RandomVector:
         z = u @ self._chol.T if self._chol is not None else u
         x = np.empty_like(z)
         free = self._free if rng is not None else ()
-        for i, marg in enumerate(self.marginals):
-            if i in free:
-                continue
-            p = marg.params
-            if marg.family == "gaussian":
-                x[:, i] = p[0] + p[1] * z[:, i]
-            elif marg.family == "lognormal":
-                x[:, i] = np.exp(p[0] + p[1] * z[:, i])
-            elif marg.family == "uniform":
-                x[:, i] = p[0] + (p[1] - p[0]) * ndtr(z[:, i])
-            else:  # above the median by the inverse survival function, which keeps the tail
-                up = z[:, i] > 0.0
-                x[~up, i] = marg.quantile(ndtr(z[~up, i]))
-                x[up, i] = marg._inverse("isf", ndtr(-z[up, i]))
+        with np.errstate(over="ignore"):  # an overflow is the OverflowError below
+            for i, marg in enumerate(self.marginals):
+                if i in free:
+                    continue
+                p = marg.params
+                if marg.family == "gaussian":
+                    x[:, i] = p[0] + p[1] * z[:, i]
+                elif marg.family == "lognormal":
+                    x[:, i] = np.exp(p[0] + p[1] * z[:, i])
+                elif marg.family == "uniform":
+                    x[:, i] = p[0] + (p[1] - p[0]) * ndtr(z[:, i])
+                else:  # above the median by the inverse survival function, which keeps the tail
+                    up = z[:, i] > 0.0
+                    x[~up, i] = marg.quantile(ndtr(z[~up, i]))
+                    x[up, i] = marg._inverse("isf", ndtr(-z[up, i]))
         for i in free:  # drawn after u, so that the other columns keep their draws
             p, n = self.marginals[i].params, x.shape[0]
             if self.marginals[i].family == "gamma":
@@ -379,9 +378,10 @@ class RandomVector:
         inside = np.all((pts > lo) & (pts < hi), axis=1)
         y = self.to_standard(pts[inside])
         z = y @ self._chol.T
-        quad = np.einsum("ij,ij->i", y, y) - np.einsum("ij,ij->i", z, z)
         dens = np.zeros(pts.shape[0])
-        dens[inside] = np.exp(-0.5 * quad) / np.prod(np.diag(self._chol))
+        with np.errstate(over="ignore", invalid="ignore"):  # joint_pdf reads NaN or inf as 0
+            quad = np.einsum("ij,ij->i", y, y) - np.einsum("ij,ij->i", z, z)
+            dens[inside] = np.exp(-0.5 * quad) / np.prod(np.diag(self._chol))
         return dens
 
     # -- moments -----------------------------------------------------------

@@ -94,6 +94,12 @@ class TestRun:
         assert main(["run", "--config", cfg, "--method-override", "n=-5"]) == 2
         assert main(["run", "--config", cfg, "--method-override", "bogus"]) == 2
 
+    def test_non_json_override_is_checked_as_a_string(self, tmp_path, capsys):
+        out = str(tmp_path / "r.json")
+        cfg = write_config(tmp_path, linear_mc_config(out))
+        assert main(["run", "--config", cfg, "--method-override", "n=abc"]) == 2
+        assert "'n': 'abc'" in capsys.readouterr().err
+
     def test_expression_problem(self, tmp_path):
         out = str(tmp_path / "r.json")
         cfg = write_config(

@@ -36,6 +36,7 @@ from reliakit import (
     krig_build,
     krig_pf_bounds,
     krig_predict_batch,
+    limit_state_from_expression,
     mc_cov,
     pce_fit_regression,
     pce_pf,
@@ -133,7 +134,7 @@ class TestSharedSweep:
         rv = standard_normal_vector(2)
         pts = rv.sample(40, scheme="latin_hypercube", seed=20)
         model = pce_fit_regression(rv, basis_for(rv, 3), self.waarts_design(pts))
-        sur = pce_pf(model, rv, self.N, seed=21)
+        sur = pce_pf(model, self.N, seed=21)
         mc = estimate_mc(model.to_limit_state(), rv, self.N, seed=21)
         assert 0.0 < sur.pf < 1.0
         assert (sur.pf, sur.cov) == (mc.pf, mc.cov)
@@ -364,6 +365,35 @@ class TestForm:
         with pytest.raises(IterationError) as exc:
             form(ls, standard_normal_vector(2), max_iter=30)
         assert exc.value.last_iterate is not None
+
+    def test_stalled_line_search_takes_its_smallest_step(self):
+        # g jumps from 3 - x1 to 10 past x1 = 0.001, so from the origin no trial lowers
+        # the merit: the search tries steps 1, 1/2, ..., 1/64, then takes 1/128 anyway
+        inner = limit_state_from_expression("3 - x1 if x1 < 0.001 else 10", 2)
+        batches = []
+
+        def vec(xs):
+            batches.append(xs.copy())
+            return inner.vector_evaluator(xs)
+
+        with pytest.raises(IterationError):
+            form(LimitState(2, vector_evaluator=vec), standard_normal_vector(2))
+        # the origin, its gradient stencil, the eight trials, then the next stencil
+        assert [len(b) for b in batches[:11]] == [1, 4] + [1] * 8 + [4]
+        trials = np.vstack(batches[2:10])
+        np.testing.assert_allclose(trials[:, 0], 3.0 / 2.0 ** np.arange(8), rtol=1e-9)
+        assert np.all(trials[:, 1] == 0.0)
+        # the next stencil is taken about the last trial
+        assert np.all(batches[10][[1, 3], 0] == trials[-1, 0])
+
+    def test_extra_starts_reach_a_surface_the_default_starts_cannot(self):
+        # g is flat for u1 <= 1.5, so every default start stops on a zero gradient
+        ls = LimitState(1, vector_evaluator=lambda u: np.minimum(10.0, 16.0 - 4.0 * u[:, 0]))
+        with pytest.raises(IterationError):
+            form(ls, standard_normal_vector(1))
+        res = form(ls, standard_normal_vector(1), extra_starts=[[2.0]])
+        assert res.beta == pytest.approx(4.0, abs=1e-6)
+        assert res.extras["n_solutions"] == 1
 
     def test_ledger_counts_fd_stencils(self):
         ledger = EvalLedger()

@@ -513,6 +513,19 @@ class TestEnrichment:
         assert all(np.any(np.all(fresh == p, axis=1)) for p in pts)
         assert np.unique(pts, axis=0).shape[0] == 4
 
+    def test_empty_cluster_is_skipped(self, monkeypatch):
+        # k-means can leave a cluster empty; the clusters after it still give their
+        # closest members, and the top-up makes up the one pick short
+        model, _ = self.waarts_model()
+        draws = np.array([[4.0, 4.0], [4.2, 4.0], [-4.0, 4.0], [-4.2, 4.0],
+                          [0.2, -4.0], [0.0, -4.0], [0.1, -4.2]])
+        centroids = np.array([[4.0, 4.0], [9.0, 9.0], [-4.0, 4.0], [0.0, -4.0]])
+        labels = np.array([0, 0, 2, 2, 3, 3, 3])
+        monkeypatch.setattr("scipy.cluster.vq.kmeans2", lambda *a, **kw: (centroids, labels))
+        pts = enrich_margin(model, draws, n_clusters=4, seed=12)
+        assert pts.shape == (4, 2)
+        np.testing.assert_array_equal(pts[:3], draws[[0, 2, 5]])
+
 
 class TestBounds:
     def test_ordering_holds_eventwise(self):

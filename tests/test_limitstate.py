@@ -19,7 +19,6 @@ from reliakit import (
     benchmark_waarts,
     evaluate_batch,
     limit_state_from_expression,
-    standard_normal_vector,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -240,6 +239,14 @@ class TestExpressionParser:
             evaluate_batch(ls, pts, ledger=ledger)
         assert ledger.count == 4
 
+    def test_power_overflow_is_a_counted_model_error(self):
+        # 10^1000 has a real value, so the overflow keeps numpy's own message
+        ls = limit_state_from_expression("x1^1000", 1)
+        ledger = EvalLedger()
+        with pytest.raises(ModelError, match=r"row 1: .*overflow encountered in power"):
+            evaluate_batch(ls, np.array([[1.0], [10.0]]), ledger=ledger)
+        assert ledger.count == 2
+
 
 def _row_by_row(expr: str, xs: np.ndarray, params: dict) -> np.ndarray:
     """Python's own eval of the expression on each row, with math's functions."""
@@ -329,9 +336,3 @@ class TestVectorExpression:
         with pytest.raises(ModelError, match=r"row 500: array\(\[ *1\., 1000\.\]\): overflow"):
             evaluate_batch(limit_state_from_expression("log(x1) + exp(x2)", 2), xs, ledger)
         assert ledger.count == 1000
-
-
-def test_fixed_params_recorded():
-    ls = benchmark_linear(2.5, dimension=2)
-    assert ls.fixed_params.get("beta0") == pytest.approx(2.5)
-    assert standard_normal_vector(2).dimension == ls.dimension

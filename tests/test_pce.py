@@ -545,7 +545,7 @@ class TestMomentsAndPf:
         rv = standard_normal_vector(2)
         ls = LimitState(2, lambda x: -1.0)
         model = pce_fit_regression(rv, basis_for(rv, 1), _design_for(rv, ls, 20, 11))
-        res = pce_pf(model, rv, 10_000, seed=12)
+        res = pce_pf(model, 10_000, seed=12)
         assert res.pf == 1.0
         assert res.cov == 0.0
         assert res.n_calls == 0  # surrogate sweeps are free
@@ -554,7 +554,7 @@ class TestMomentsAndPf:
         rv = standard_normal_vector(2)
         ls = benchmark_linear(2.0, dimension=2)
         model = pce_fit_regression(rv, basis_for(rv, 1), _design_for(rv, ls, 20, 13))
-        res = pce_pf(model, rv, 1_000_000, seed=14)
+        res = pce_pf(model, 1_000_000, seed=14)
         pf = float(stats.norm.cdf(-2.0))
         assert abs(res.pf - pf) <= 3.0 * res.cov * res.pf
 
@@ -562,8 +562,8 @@ class TestMomentsAndPf:
         rv = standard_normal_vector(2)
         ls = benchmark_linear(2.0, dimension=2)
         model = pce_fit_regression(rv, basis_for(rv, 1), _design_for(rv, ls, 20, 15))
-        small = pce_pf(model, rv, 50_000, seed=16)
-        large = pce_pf(model, rv, 200_000, seed=16)
+        small = pce_pf(model, 50_000, seed=16)
+        large = pce_pf(model, 200_000, seed=16)
         assert large.cov == pytest.approx(small.cov / 2.0, rel=0.15)
 
 
@@ -594,7 +594,7 @@ class TestGermSweep:
         assert not rv.is_independent
         with monkeypatch.context() as mp:  # no map from x back to the germ
             mp.setattr(RandomVector, "to_standard", None)
-            res = pce_pf(model, rv, self.N, seed=18)
+            res = pce_pf(model, self.N, seed=18)
         u = np.random.default_rng(18).standard_normal((self.N, 4))
         g = np.concatenate(
             [model.basis.evaluate(b) @ model.coefficients for b in np.array_split(u, 3)]
@@ -685,6 +685,31 @@ class TestAdaptive:
         ls = LimitState(1, lambda x: 1.0 if x[0] > 0 else -1.0)
         model = pce_adaptive(ls, rv, target_err=1e-4, p_max=3, seed=22)
         assert model.diagnostics["converged"] is False
+
+    def test_a_degree_whose_fit_fails_is_skipped(self, monkeypatch):
+        # degree 1 would fit this plane exactly; with its fit failing, degree 2 does,
+        # on the design grown to twice its 6 terms
+        fit = reliakit.pce.pce_fit_regression
+
+        def failing_at_degree_one(rv, basis, design):
+            if max(map(sum, basis.indices)) == 1:
+                raise FitError("rank-deficient design")
+            return fit(rv, basis, design)
+
+        monkeypatch.setattr(reliakit.pce, "pce_fit_regression", failing_at_degree_one)
+        rv = standard_normal_vector(2)
+        model = pce_adaptive(benchmark_linear(2.0, dimension=2), rv, 1e-8, 4, seed=23)
+        assert model.diagnostics["converged"] is True
+        assert (model.diagnostics["degree"], model.diagnostics["n_true_calls"]) == (2, 12)
+
+    def test_no_usable_degree_raises_fit_error(self, monkeypatch):
+        def failing(rv, basis, design):
+            raise FitError("rank-deficient design")
+
+        monkeypatch.setattr(reliakit.pce, "pce_fit_regression", failing)
+        rv = standard_normal_vector(2)
+        with pytest.raises(FitError, match="no degree up to p_max"):
+            pce_adaptive(benchmark_linear(2.0, dimension=2), rv, 1e-8, 3, seed=23)
 
     def test_estimate_counts_every_design_of_the_loop(self):
         # degrees 1 to 3 grow one design to 4, 6, then 8 points

@@ -260,6 +260,15 @@ class TestTransform:
         with pytest.raises(DomainError):
             rv.to_standard(np.array([[0.0]]))  # boundary excluded
 
+    @pytest.mark.parametrize(
+        "marg, u", [(Marginal.lognormal(0.0, 1.0), 800.0), (Marginal.gaussian(0.0, 1e300), 1e10)]
+    )
+    def test_overflow_raises_its_own_error_and_no_warning(self, marg, u):
+        # exp(800) and 1e300 * 1e10 overflow; numpy's RuntimeWarning (an error in this
+        # suite) must not get out before the transform's own OverflowError
+        with pytest.raises(OverflowError, match="overflowed the marginal range"):
+            RandomVector((marg,)).from_standard(np.array([[u]]))
+
     def test_nonfinite_standard_point_raises(self):
         rv = standard_normal_vector(2)
         with pytest.raises(DomainError):
@@ -311,6 +320,12 @@ class TestJointPdf:
         oracle = stats.multivariate_normal(mean=[1.0, -1.0], cov=cov)
         x = rv.sample(200, seed=4)
         np.testing.assert_allclose(rv.joint_pdf(x), oracle.pdf(x), rtol=1e-9)
+
+
+    def test_far_row_of_a_strong_correlation_reads_zero_without_a_warning(self):
+        # y'y and z'z both overflow to inf; their difference is NaN, which joint_pdf maps to 0
+        rv = RandomVector((Marginal.gaussian(0, 1),) * 2, np.array([[1.0, 0.99], [0.99, 1.0]]))
+        assert rv.joint_pdf(np.array([[1e200, -1e200]]))[0] == 0.0
 
 
 class TestCopulaTails:

@@ -31,6 +31,10 @@ change and where it is, and the paths of any other values that differ
   partial): pf and CoV of crude MC on four-branch, and of ``pce_pf`` on a
   degree-3 PCE of the compare problem;
 * FORM and FOSM on the compare problem and on four-branch;
+* FORM's stalled line search: on ``3 - x1 if x1 < 0.001 else 10`` in 2-D
+  every merit trial from the origin fails, so the search takes its 1/128
+  step; no start converges, and the ``IterationError``'s last iterate and
+  the ledger count are kept;
 * ``kernel_cross`` alone on seeded blocks of 48 by 20,000 rows (2-D at
   power 2, 6-D at power 1.5, 1-D at power 1): the sum, the first and the
   last entry, so that a kernel edit shows its roundoff in one entry before
@@ -100,7 +104,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from reliakit import (  # noqa: E402
     ConditioningError,
     CorrelationKernel,
+    EvalLedger,
     ExperimentalDesign,
+    IterationError,
     LimitState,
     Marginal,
     RandomVector,
@@ -159,6 +165,17 @@ def _gradient_methods(ls, rv) -> dict:
         else:
             out[name] = {"pf": res.pf, "n_calls": res.n_calls, "extras": res.extras}
     return out
+
+
+def _form_stalled() -> dict:
+    # from the origin every merit trial fails, so the line search ends on its 1/128 step
+    ls = limit_state_from_expression("3 - x1 if x1 < 0.001 else 10", 2)
+    ledger = EvalLedger()
+    try:
+        form(ls, standard_normal_vector(2), ledger=ledger)
+    except IterationError as exc:
+        return {"last_iterate": exc.last_iterate, "n_calls": ledger.count}
+    raise AssertionError("FORM converged where g has no zero")
 
 
 def _metais(seed: int) -> dict:
@@ -247,7 +264,7 @@ def _sweeps(spec: dict) -> dict:
     n = 250_001
     mc = estimate_mc(benchmark_waarts(), standard_normal_vector(2), n, seed=0)
     ls, rv = cli._build_problem(spec["problem"])
-    pce = pce_pf(_fitted_pce(rv, 3, lambda x: evaluate_batch(ls, x)), rv, n, seed=1)
+    pce = pce_pf(_fitted_pce(rv, 3, lambda x: evaluate_batch(ls, x)), n, seed=1)
     return {
         "mc_four_branch": {"pf": mc.pf, "cov": mc.cov, "n_failures": mc.extras["n_failures"]},
         "pce_compare": {"pf": pce.pf, "cov": pce.cov},
@@ -347,7 +364,7 @@ def _pce_predict(spec: dict) -> dict:
     model = _fitted_pce(rv, 4, _mixed_response)
     y = model.predict(rv.sample(1000, seed=4))
     ls, rv_c = cli._build_problem(spec["problem"])
-    pce = pce_pf(_fitted_pce(rv_c, 6, lambda x: evaluate_batch(ls, x)), rv_c, 250_001, seed=2)
+    pce = pce_pf(_fitted_pce(rv_c, 6, lambda x: evaluate_batch(ls, x)), 250_001, seed=2)
     return {
         "mixed_degree4": {"sum": np.sum(y), "sum_sq": np.sum(y * y)},
         "compare_degree6_pf": {"pf": pce.pf, "cov": pce.cov},
@@ -522,6 +539,7 @@ def main(argv=None) -> int:
         "sweeps": _sweeps(spec),
         "gradient_compare": _gradient_methods(*cli._build_problem(spec["problem"])),
         "gradient_four_branch": _gradient_methods(benchmark_waarts(), standard_normal_vector(2)),
+        "form_stalled": _form_stalled(),
         "kernel": _kernel(),
         "kriging_fits_nd": _kriging_fits_nd(),
         "marginals": _marginals(),
