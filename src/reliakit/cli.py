@@ -32,7 +32,7 @@ from .limitstate import (
 )
 from .metais import metais_estimate
 from .pce import pce_estimate
-from .probmodel import _FAMILIES, Marginal, RandomVector, make_rng, standard_normal_vector
+from .probmodel import RandomVector, make_rng, standard_normal_vector
 from .response_surface import qrs_estimate
 
 __all__ = ["main", "run", "compare"]
@@ -47,13 +47,8 @@ _NUMERICAL_ERRORS = (ReliakitError, np.linalg.LinAlgError, OverflowError, Floati
 _MARGINAL_SCHEMA = {
     "type": "object",
     "properties": {
-        "family": {"enum": list(_FAMILIES)},
-        "params": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 4,
-        },
+        "family": {"type": "string"},
+        "params": {"type": "array", "items": {"type": "number"}},
     },
     "required": ["family", "params"],
     "additionalProperties": False,
@@ -248,9 +243,7 @@ def _build_problem(problem: dict) -> tuple[LimitState, RandomVector]:
                 return benchmark_waarts(), standard_normal_vector(2)
             dim = int(problem.get("dimension", 2))
             return benchmark_linear(problem["beta0"], dimension=dim), standard_normal_vector(dim)
-        margs = tuple(Marginal.from_dict(m) for m in problem["marginals"])
-        corr = problem.get("correlation")
-        rv = RandomVector(margs, None if corr is None else np.asarray(corr, dtype=float))
+        rv = RandomVector.from_dict(problem)
         ls = limit_state_from_expression(
             problem["expression"], rv.dimension, name=problem.get("name", "g")
         )

@@ -432,8 +432,6 @@ def enrich_margin(model: KrigingModel, draws, n_clusters: int = 4, seed=None) ->
     chosen: list[np.ndarray] = []
     for c in range(kk):
         members = np.flatnonzero(labels == c)
-        if members.size == 0:
-            continue
         d2 = np.sum((samples[members] - centroids[c]) ** 2, axis=1)
         for j in members[np.argsort(d2)]:
             if _is_new_point(samples[j], model.design.points, chosen):

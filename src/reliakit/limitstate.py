@@ -4,7 +4,8 @@ A limit state g partitions the input space into a safe domain (g > 0) and a
 failure domain (g <= 0).  Every call to the true model is routed through
 :func:`evaluate_batch` so that an :class:`EvalLedger` can count them; the
 whole point of surrogate methods is to keep that count small, so the ledger
-is the cost meter for every estimator in the package.
+is the cost meter for every estimator in the package.  A single-point call
+``ls(x)`` is a one-row batch with no ledger: checked the same way, not counted.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class LimitState:
 
     ``evaluator`` maps one point (array of shape (M,)) to a float, and
     ``vector_evaluator`` an (n, M) array to n values; :func:`evaluate_batch`
-    prefers the latter.  Give at least one: with only ``vector_evaluator``
-    the single-point form is derived from it.
+    prefers the latter.  Give at least one.  ``ls(x)`` at one point is a
+    one-row :func:`evaluate_batch` with no ledger.
     """
 
     dimension: int
@@ -64,17 +65,14 @@ class LimitState:
     vector_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        vec = self.vector_evaluator
-        if self.evaluator is None:
-            if vec is None:
-                raise ValueError("a limit state needs an evaluator or a vector_evaluator")
-            object.__setattr__(self, "evaluator", lambda x: float(vec(np.asarray(x)[None, :])[0]))
+        if self.evaluator is None and self.vector_evaluator is None:
+            raise ValueError("a limit state needs an evaluator or a vector_evaluator")
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"{self.name} expects shape ({self.dimension},), got {x.shape}")
-        return float(self.evaluator(x))
+        return float(evaluate_batch(self, x[None, :])[0])
 
 
 def evaluate_batch(

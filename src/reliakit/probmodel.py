@@ -300,17 +300,18 @@ class RandomVector:
             # Gaussian-type marginals map by arithmetic; the rest by the CDF,
             # or above the median by the survival function, which keeps the tail.
             p = marg.params
-            if marg.family == "gaussian":
-                z[:, i] = (col - p[0]) / p[1]
-            elif marg.family == "lognormal":
-                z[:, i] = (np.log(col) - p[0]) / p[1]
-            else:
-                cdf = marg.cdf(col)
-                up = cdf > 0.5
-                z[:, i] = ndtri(np.maximum(cdf, _P_LO))
-                z[up, i] = -ndtri(np.maximum(marg.sf(col[up]), _P_LO))
-        if self._chol is not None:
-            z = solve_triangular(self._chol, z.T, lower=True).T
+            with np.errstate(over="ignore"):  # past the doubles z is ±inf, a density of 0
+                if marg.family == "gaussian":
+                    z[:, i] = (col - p[0]) / p[1]
+                elif marg.family == "lognormal":
+                    z[:, i] = (np.log(col) - p[0]) / p[1]
+                else:
+                    cdf = marg.cdf(col)
+                    up = cdf > 0.5
+                    z[:, i] = ndtri(np.maximum(cdf, _P_LO))
+                    z[up, i] = -ndtri(np.maximum(marg.sf(col[up]), _P_LO))
+        if self._chol is not None:  # an infinite z is a far point, not an error
+            z = solve_triangular(self._chol, z.T, lower=True, check_finite=False).T
         return z
 
     def from_standard(self, u) -> np.ndarray:
@@ -377,9 +378,9 @@ class RandomVector:
         lo, hi = np.array([marg.support for marg in self.marginals]).T
         inside = np.all((pts > lo) & (pts < hi), axis=1)
         y = self.to_standard(pts[inside])
-        z = y @ self._chol.T
         dens = np.zeros(pts.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):  # joint_pdf reads NaN or inf as 0
+            z = y @ self._chol.T
             quad = np.einsum("ij,ij->i", y, y) - np.einsum("ij,ij->i", z, z)
             dens[inside] = np.exp(-0.5 * quad) / np.prod(np.diag(self._chol))
         return dens

@@ -450,6 +450,32 @@ class TestConfigValidation:
         )
         assert main(["run", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "marginal, message",
+        [
+            ({"family": "weibull", "params": [1.0, 2.0]}, "unknown marginal family 'weibull'"),
+            ({"family": "gaussian", "params": [0.0]}, "gaussian marginal needs (mean, std)"),
+            ({"family": "beta", "params": [2.0, 2.0]}, "beta marginal needs (alpha, beta"),
+            ({"family": "uniform", "params": [0.0, 1.0, 2.0, 3.0, 4.0]}, "uniform marginal needs"),
+        ],
+        ids=["unknown_family", "too_few", "beta_without_bounds", "too_many"],
+    )
+    def test_marginal_checks_exit_two_before_any_model_call(
+        self, tmp_path, capsys, ledgers, no_model_calls, marginal, message
+    ):
+        cfg = write_config(
+            tmp_path,
+            {
+                "problem": {"expression": "1 - x1", "marginals": [marginal]},
+                "methods": [{"name": "mc", "n": 100}, {"name": "form"}],
+            },
+        )
+        assert main(["compare", "--config", cfg]) == 2
+        assert ledgers == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 @pytest.fixture
 def ledgers(monkeypatch):

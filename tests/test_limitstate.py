@@ -59,11 +59,10 @@ class TestWaarts:
         got_fail = evaluate_batch(ls, pts) <= 0.0
         np.testing.assert_array_equal(got_fail, oracle_fail)
 
-    def test_scalar_and_vector_paths_agree(self):
+    def test_single_point_calls_match_the_batch(self):
         ls = benchmark_waarts()
         pts = np.random.default_rng(2).normal(size=(64, 2))
-        scalar = np.array([ls.evaluator(p) for p in pts])
-        np.testing.assert_allclose(ls.vector_evaluator(pts), scalar, rtol=1e-14)
+        np.testing.assert_array_equal([ls(p) for p in pts], evaluate_batch(ls, pts))
 
 
 class TestSinglePointForm:
@@ -78,6 +77,22 @@ class TestSinglePointForm:
     def test_needs_an_evaluator(self):
         with pytest.raises(ValueError, match="evaluator"):
             LimitState(2)
+
+    @pytest.mark.parametrize(
+        "ls, x, match",
+        [
+            (LimitState(1, lambda x: math.nan), [0.0], "non-finite value at row 0"),
+            (LimitState(1, vector_evaluator=lambda xs: np.full(len(xs), np.inf)), [0.0], "non-finite"),
+            (limit_state_from_expression("log(x1)", 1), [-1.0], "failed on a batch of 1 rows"),
+            (limit_state_from_expression("x1^1000", 1), [10.0], "overflow"),
+        ],
+        ids=["scalar_nan", "vector_nan", "no_real_value", "overflow"],
+    )
+    def test_raises_model_error_as_a_batch_does(self, ls, x, match):
+        with pytest.raises(ModelError, match=match):
+            evaluate_batch(ls, [x])
+        with pytest.raises(ModelError, match=match):
+            ls(np.array(x))
 
 
 class TestLinearBenchmark:

@@ -269,6 +269,18 @@ class TestTransform:
         with pytest.raises(OverflowError, match="overflowed the marginal range"):
             RandomVector((marg,)).from_standard(np.array([[u]]))
 
+    @pytest.mark.parametrize(
+        "marg, x, z",
+        [
+            (Marginal.gaussian(0.0, 1e-300), 1e10, math.inf),
+            (Marginal.gaussian(0.0, 1e-300), -1e10, -math.inf),
+            (Marginal.lognormal(0.0, 1e-308), 1e10, math.inf),
+        ],
+    )
+    def test_far_point_maps_to_infinity_without_a_warning(self, marg, x, z):
+        # 1e10 / 1e-300 overflows; z is ±inf, as the exact z is past the doubles
+        assert RandomVector((marg,)).to_standard(np.array([[x]]))[0, 0] == z
+
     def test_nonfinite_standard_point_raises(self):
         rv = standard_normal_vector(2)
         with pytest.raises(DomainError):
@@ -326,6 +338,12 @@ class TestJointPdf:
         # y'y and z'z both overflow to inf; their difference is NaN, which joint_pdf maps to 0
         rv = RandomVector((Marginal.gaussian(0, 1),) * 2, np.array([[1.0, 0.99], [0.99, 1.0]]))
         assert rv.joint_pdf(np.array([[1e200, -1e200]]))[0] == 0.0
+
+    def test_far_row_of_a_narrow_marginal_reads_zero_without_a_warning(self):
+        # the narrow column's z overflows to inf, and the copula factor is NaN, read as 0
+        rv = RandomVector((Marginal.gaussian(0, 1e-300), Marginal.gaussian(0, 1)),
+                          np.array([[1.0, 0.5], [0.5, 1.0]]))
+        assert rv.joint_pdf(np.array([[1e10, 0.0]]))[0] == 0.0
 
 
 class TestCopulaTails:
