@@ -2,27 +2,37 @@
 
 Two subcommands: ``run`` executes one analysis method on one problem and
 writes a result record; ``compare`` runs several methods on the same
-problem and emits a single CSV table.  Configs are JSON documents checked
-against a schema before any model evaluation happens, and a fixed config
-plus seed reproduces output files byte for byte.
+problem and emits a single CSV table.  A config is a JSON document, checked
+in full before any model evaluation happens, and a fixed config plus seed
+reproduces output files byte for byte.  A method's options are the
+keywords of the library functions it calls, checked by the library's own
+option check.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from ._blas import one_blas_thread
 from .errors import ReliakitError
-from .estimators import InstrumentalDensity, cornell_index, estimate_is, estimate_mc, form
-from .kriging import ak_estimate
+from .estimators import (
+    _OPTION_RANGES,
+    InstrumentalDensity,
+    _checked,
+    _fits,
+    cornell_index,
+    estimate_is,
+    estimate_mc,
+    form,
+)
+from .kriging import adaptive_margin_design, ak_estimate, ak_mcs
 from .limitstate import (
     EvalLedger,
     LimitState,
@@ -44,165 +54,14 @@ _EXIT_NUMERICAL = 3
 _NUMERICAL_ERRORS = (ReliakitError, np.linalg.LinAlgError, OverflowError, FloatingPointError,
                      MemoryError)
 
-_MARGINAL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "family": {"type": "string"},
-        "params": {"type": "array", "items": {"type": "number"}},
-    },
-    "required": ["family", "params"],
-    "additionalProperties": False,
-}
-
-_PROBLEM_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"benchmark": {"const": "waarts"}},
-            "required": ["benchmark"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "benchmark": {"const": "linear"},
-                "beta0": {"type": "number"},
-                "dimension": {"type": "integer", "minimum": 1, "maximum": 100},
-            },
-            "required": ["benchmark", "beta0"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "expression": {"type": "string", "minLength": 1},
-                "name": {"type": "string"},
-                "marginals": {
-                    "type": "array",
-                    "items": _MARGINAL_SCHEMA,
-                    "minItems": 1,
-                    "maxItems": 100,
-                },
-                "correlation": {
-                    "type": ["array", "null"],
-                    "items": {"type": "array", "items": {"type": "number"}},
-                },
-            },
-            "required": ["expression", "marginals"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_COUNT = {"type": "integer", "minimum": 1}
-_ROWS = dict(_COUNT, maximum=10**9)  # every sample size stops at mc's cap
-_POS = {"type": "number", "exclusiveMinimum": 0}
-
-_METHOD_OPTION_SCHEMAS = {
-    "mc": {"n": _ROWS},
-    "is": {
-        "n": _ROWS,
-        "instrumental": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "properties": {"type": {"const": "input"}},
-                    "required": ["type"],
-                    "additionalProperties": False,
-                },
-                {
-                    "type": "object",
-                    "properties": {
-                        "type": {"const": "gaussian_centered"},
-                        "center": {
-                            "type": "array",
-                            "items": {"type": "number"},
-                            "minItems": 1,
-                        },
-                        "std": _POS,
-                    },
-                    "required": ["type", "center"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-    },
-    "fosm": {"step": _POS},
-    "form": {"tol": _POS, "gtol": _POS, "max_iter": _COUNT},
-    "qrs": {"n_design": _ROWS, "n_surrogate": _ROWS, "include_cross": {"type": "boolean"}},
-    "pce": {
-        "degree": {"type": "integer", "minimum": 1, "maximum": 20},
-        "target_error": _POS,
-        "p_max": {"type": "integer", "minimum": 1, "maximum": 20},
-        "n_surrogate": _ROWS,
-    },
-    "ak": {
-        "n_pool": _ROWS,
-        "u_stop": _POS,
-        "budget": _COUNT,
-        "n_bounds": _ROWS,
-        "k": _POS,
-    },
-    "metais": {
-        "n_epsilon": _ROWS,
-        "n_corr": _ROWS,
-        "k": _POS,
-        "n_clusters": _COUNT,
-        "tol": _POS,
-        "budget": _COUNT,
-        "n_bounds": _ROWS,
-        "n_chain": _COUNT,
-    },
-}
-
-
-def _method_schema(name: str) -> dict:
-    props = {"name": {"const": name}}
-    props.update(_METHOD_OPTION_SCHEMAS[name])
-    return {
-        "type": "object",
-        "properties": props,
-        "required": ["name"],
-        "additionalProperties": False,
-    }
-
-
-_METHOD_SCHEMA = {"oneOf": [_method_schema(n) for n in _METHOD_OPTION_SCHEMAS]}
-
-_OUTPUT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "path": {"type": "string", "minLength": 1},
-        "format": {"enum": ["json", "csv"]},
-    },
-    "additionalProperties": False,
-}
-
-_RUN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "problem": _PROBLEM_SCHEMA,
-        "method": _METHOD_SCHEMA,
-        "methods": {"type": "array", "items": _METHOD_SCHEMA, "minItems": 1},
-        "output": _OUTPUT_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["problem"],
-    "additionalProperties": False,
-}
-
-# Built once; jsonschema.validate would re-check each schema on every call.
-_RUN_VALIDATOR = validator_for(_RUN_SCHEMA)(_RUN_SCHEMA)
-_METHOD_VALIDATOR = validator_for(_METHOD_SCHEMA)(_METHOD_SCHEMA)
-
 
 class ConfigError(ValueError):
-    """Invalid configuration (schema, file, or override syntax)."""
+    """Invalid configuration (file, structure, option, or override syntax)."""
 
 
 def _finite_number(text: str) -> float:
-    # json and jsonschema both accept NaN, Infinity and overflowing literals
-    # such as 1e999; none of them is a usable option or parameter
+    # json accepts NaN, Infinity and overflowing literals such as 1e999;
+    # none of them is a usable option or parameter
     val = float(text)
     if not math.isfinite(val):
         raise ConfigError(f"{text} is not a finite number")
@@ -213,11 +72,20 @@ def _parse_json(text: str):
     return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
 
 
-def _validate(validator, instance, context: str):
-    """Raise ConfigError with the error jsonschema.validate would have raised."""
-    error = best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise ConfigError(f"{context}: {error.message}")
+def _numbers(*lists) -> bool:
+    """Whether each of ``lists`` is a list of numbers."""
+    return all(isinstance(v, list) and all(_fits(x, float, -math.inf, math.inf) for x in v)
+               for v in lists)
+
+
+def _fields(entry, what: str, allowed: str, required: str = "") -> dict:
+    """``entry``, if it is an object with every ``required`` key and only ``allowed`` ones."""
+    keys = entry.keys() if isinstance(entry, dict) else None
+    if keys is None or not set(required.split()) <= keys <= set(allowed.split()):
+        got = type(entry).__name__ if keys is None else sorted(keys)
+        needs = f"the keys ({required}) and " if required else ""
+        raise ConfigError(f"{what} must be an object with {needs}no key but ({allowed}), not {got}")
+    return entry
 
 
 def _load_config(path: str, require: str) -> dict:
@@ -228,9 +96,19 @@ def _load_config(path: str, require: str) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
-    _validate(_RUN_VALIDATOR, cfg, "config schema violation")
-    if require not in cfg:
-        raise ConfigError(f"config must contain a {require!r} entry for this subcommand")
+    _fields(cfg, "the config", "problem method methods output seed", f"problem {require}")
+    out = _fields(cfg.get("output", {}), "output", "path format")
+    listed = cfg[require] if require == "methods" else [cfg[require]]
+    for ok, message in (
+        (_fits(cfg.get("seed", 0), int, 0, math.inf), "seed must be a whole number >= 0"),
+        (isinstance(out.get("path", "-"), str) and out.get("path") != "",
+         "output path must be a non-empty string"),
+        (out.get("format", "json") in ("json", "csv"), "output format must be json or csv"),
+        (isinstance(listed, list) and listed and all(isinstance(m, dict) for m in listed),
+         f"{require} must be a method object or a non-empty list of them"),
+    ):
+        if not ok:
+            raise ConfigError(message)
     return cfg
 
 
@@ -238,60 +116,47 @@ def _build_problem(problem: dict) -> tuple[LimitState, RandomVector]:
     # anything wrong with the problem definition is a config error, not a
     # numerical failure: it must exit 2 before any model call
     try:
-        if "benchmark" in problem:
-            if problem["benchmark"] == "waarts":
-                return benchmark_waarts(), standard_normal_vector(2)
-            dim = int(problem.get("dimension", 2))
-            return benchmark_linear(problem["beta0"], dimension=dim), standard_normal_vector(dim)
+        kind = problem.get("benchmark", "expression") if isinstance(problem, dict) else None
+        if kind == "waarts":
+            _fields(problem, "the waarts problem", "benchmark", "benchmark")
+            return benchmark_waarts(), standard_normal_vector(2)
+        if kind == "linear":
+            _fields(problem, "the linear problem", "benchmark beta0 dimension", "benchmark beta0")
+            beta0, dim = problem["beta0"], problem.get("dimension", 2)
+            if not (_fits(beta0, float, -math.inf, math.inf) and _fits(dim, int, 1, 100)):
+                raise ValueError("the linear problem needs a number beta0 and a dimension in 1-100")
+            return benchmark_linear(beta0, dimension=int(dim)), standard_normal_vector(int(dim))
+        _fields(problem, "an expression problem", "expression name marginals correlation",
+                "expression marginals")
+        margs, rows = problem["marginals"], problem.get("correlation") or []
+        if not (isinstance(problem["expression"], str) and isinstance(problem.get("name", ""), str)
+                and isinstance(margs, list) and len(margs) <= 100
+                and isinstance(rows, list) and _numbers(*rows)):
+            raise ValueError("expression and name must be strings, marginals a list of at most "
+                             "100 and correlation null or a list of lists of numbers")
+        for marg in margs:
+            _fields(marg, "a marginal", "family params", "family params")
+            if not _numbers(marg["params"]):
+                raise ValueError(f"marginal params {marg['params']!r} are not a list of numbers")
         rv = RandomVector.from_dict(problem)
         ls = limit_state_from_expression(
             problem["expression"], rv.dimension, name=problem.get("name", "g")
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid problem definition: {exc}") from None
     return ls, rv
 
 
-def _apply_overrides(method: dict, overrides: list[str]) -> dict:
-    out = dict(method)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, raw = item.split("=", 1)
-        try:
-            val = _parse_json(raw)
-        except json.JSONDecodeError:
-            val = raw
-        out[key.strip()] = val
-    _validate(_METHOD_VALIDATOR, out, "method options invalid after overrides")
-    return out
-
-
-_CASTS = {"integer": int, "number": float}
-
-
-def _typed_options(method: dict) -> dict:
-    """The method's options, each cast to the type its schema names.
-
-    jsonschema accepts 200.0 as an "integer", so integers are cast to int
-    here, once, before any option reaches a slice or a loop bound.
-    """
-    schema = _METHOD_OPTION_SCHEMAS[method["name"]]
-    return {
-        key: _CASTS.get(schema[key].get("type"), lambda v: v)(val)
-        for key, val in method.items()
-        if key != "name"
-    }
-
-
 def _instrumental(rv: RandomVector, spec: dict | None) -> InstrumentalDensity:
-    if spec is None or spec["type"] == "input":
+    if spec is None or spec == {"type": "input"}:
         return InstrumentalDensity.from_random_vector(rv)
-    opts = {key: val for key, val in spec.items() if key != "type"}
-    center = np.asarray(opts.pop("center"), dtype=float)
-    if center.size != rv.dimension:
-        raise ConfigError("instrumental center has the wrong dimension")
-    return InstrumentalDensity.gaussian_centered(center, **opts)
+    _fields(spec, "instrumental", "type center std", "type center")
+    center, std = spec["center"], spec.get("std", 1.0)
+    if not (spec["type"] == "gaussian_centered" and _numbers(center)
+            and len(center) == rv.dimension and _fits(std, float, math.ulp(0.0), math.inf)):
+        raise ConfigError('instrumental must be {"type": "input"} or {"type": "gaussian_centered", '
+                          '"center": [one number per input], "std": a number > 0}')
+    return InstrumentalDensity.gaussian_centered(np.asarray(center, dtype=float), std)
 
 
 # One library call per method, adapted only where a config entry or a
@@ -310,15 +175,62 @@ _METHODS = {
 }
 
 
+def _option_names(adapter, *targets) -> frozenset[str]:
+    """The adapter's own keywords with a default, and the keywords of the
+    library functions it reaches that the option check knows."""
+    own = {key for key, p in inspect.signature(adapter).parameters.items()
+           if p.default is not p.empty}
+    reached = {key for fn in targets for key in inspect.signature(fn).parameters}
+    return frozenset(own | (reached & _OPTION_RANGES.keys()))
+
+
+# Each method's options, read once off the functions its entry calls; for ak
+# and metais also off the function that their **options reach.
+_OPTIONS = {
+    name: _option_names(_METHODS[name], *targets)
+    for name, targets in {
+        "mc": [estimate_mc], "is": [estimate_is], "fosm": [cornell_index], "form": [form],
+        "qrs": [qrs_estimate], "pce": [pce_estimate], "ak": [ak_estimate, ak_mcs],
+        "metais": [metais_estimate, adaptive_margin_design],
+    }.items()
+}
+
+
+def _apply_overrides(method: dict, overrides: list[str], rv: RandomVector) -> dict:
+    """The method entry with the overrides applied, and its options checked."""
+    out = dict(method)
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"override {item!r} is not of the form key=value")
+        key, raw = item.split("=", 1)
+        try:
+            val = _parse_json(raw)
+        except json.JSONDecodeError:
+            val = raw
+        out[key.strip()] = val
+    name, opts = out.get("name"), {key: val for key, val in out.items() if key != "name"}
+    known = _OPTIONS.get(name) if isinstance(name, str) else None
+    try:
+        if known is None or opts.keys() - known:
+            raise ValueError(f"unknown method {name!r}" if known is None
+                             else f"{name} takes no option {sorted(opts.keys() - known)}")
+        _checked(**opts)
+        if "instrumental" in opts:
+            _instrumental(rv, opts["instrumental"])
+    except ValueError as exc:
+        after = " after overrides" if overrides else ""
+        raise ConfigError(f"method options invalid{after}: {exc}, in {out}") from None
+    return out
+
+
 def _run_method(ls: LimitState, rv: RandomVector, method: dict, seed: int) -> dict:
     """Run one configured method; options left out take the library defaults."""
-    opts = _typed_options(method)
-    call = _METHODS[method["name"]]
+    opts = {key: val for key, val in method.items() if key != "name"}
     try:
-        result = call(ls, rv, seed=make_rng(seed), ledger=EvalLedger(), **opts)
+        result = _METHODS[method["name"]](ls, rv, seed=make_rng(seed), ledger=EvalLedger(), **opts)
     except _NUMERICAL_ERRORS:
         raise
-    except ValueError as exc:  # an option the schema admits but the method rejects
+    except ValueError as exc:  # an option in range that the method still rejects
         raise ConfigError(str(exc)) from None
     return result.to_dict()
 
@@ -366,8 +278,9 @@ def _set_up(args, entry: str) -> tuple:
     seed, the output path and format, and the limit state and inputs.
     """
     cfg = _load_config(args.config, require=entry)
+    ls, rv = _build_problem(cfg["problem"])
     listed = cfg[entry] if entry == "methods" else [cfg[entry]]
-    methods = [_apply_overrides(m, args.method_override or []) for m in listed]
+    methods = [_apply_overrides(m, args.method_override or [], rv) for m in listed]
     seed = int(cfg.get("seed", 0) if args.seed is None else args.seed)
     out_cfg = cfg.get("output", {})
     path = args.output or out_cfg.get("path")
@@ -380,7 +293,7 @@ def _set_up(args, entry: str) -> tuple:
             form_ = "csv"
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"output directory of {path!r} does not exist")
-    return cfg["problem"], methods, seed, path, form_, _build_problem(cfg["problem"])
+    return cfg["problem"], methods, seed, path, form_, (ls, rv)
 
 
 def run(args) -> int:

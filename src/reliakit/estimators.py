@@ -9,6 +9,8 @@ projection search with line search and multiple starts).
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -100,6 +102,57 @@ def _sweep(rv: RandomVector, f, n: int, seed) -> tuple[list[float], list[float]]
     return means, [_cov_of_mean(m, s2, n) for m, s2 in zip(means, seconds)]
 
 
+# The type and range of every estimator option, by name: (type, least, greatest).
+# A tol of 0 and a u_stop of inf are allowed: the adaptive designs then stop
+# on their budget alone.
+_POSITIVE = (float, math.ulp(0.0), sys.float_info.max)
+_OPTION_RANGES = {
+    **dict.fromkeys(("n", "n_design", "n_surrogate", "n_pool", "n_bounds", "n_epsilon", "n_corr",
+                     "budget", "max_iter", "n_clusters", "n_chain"), (int, 1, 10**9)),
+    **dict.fromkeys(("degree", "p_max"), (int, 1, 20)),
+    **dict.fromkeys(("gtol", "step", "k", "target_error"), _POSITIVE),
+    "tol": (float, 0.0, sys.float_info.max),
+    "u_stop": (float, math.ulp(0.0), math.inf),
+    "include_cross": (bool, False, True),
+}
+
+
+def _checked(**options) -> dict:
+    """``options``, each one named in the option table checked and cast to its type.
+
+    Sample sizes and counts are integers in [1, 10^9], ``degree`` and
+    ``p_max`` integers in [1, 20], ``tol`` finite and >= 0, ``u_stop`` > 0,
+    the other tolerances, steps and margins finite and > 0, and
+    ``include_cross`` a bool.  An integral float such as 40.0 counts as an
+    integer (see :func:`_fits`).  Other names pass unchanged.
+    Raises ``ValueError`` at the first option out of range, so an estimator
+    that checks its options first makes no draw and no model call with a
+    bad one.
+    """
+    out = dict(options)
+    for name, val in options.items():
+        if name not in _OPTION_RANGES:
+            continue
+        kind, lo, hi = _OPTION_RANGES[name]
+        if not _fits(val, kind, lo, hi):
+            what = {bool: "true or false", int: f">= {lo} and <= {hi}, and whole",
+                    float: f"{'>' if lo else '>='} 0" + (" and finite" if hi < math.inf else "")}
+            raise ValueError(f"{name} must be {what[kind]}, not {val!r}")
+        out[name] = kind(val)
+    return out
+
+
+def _fits(val, kind: type, lo, hi) -> bool:
+    """Whether ``val`` is a ``kind`` (bool, int or float) in [lo, hi].
+
+    An integral float counts as an int; a bool never counts as a number.
+    """
+    if kind is bool:
+        return isinstance(val, bool)
+    return (isinstance(val, numbers.Real) and not isinstance(val, bool) and lo <= val <= hi
+            and (kind is float or val == int(val)))
+
+
 def _mean_cov(w: np.ndarray) -> tuple[float, float]:
     """Sample mean of w and the coefficient of variation of that mean.
 
@@ -162,6 +215,7 @@ def estimate_mc(
     failure is observed the estimate is 0 with infinite uncertainty, and
     the result carries ``extras['no_failures'] = True``.
     """
+    n = _checked(n=n)["n"]
     (pf,), (cov,) = _sweep(rv, lambda xs: evaluate_batch(ls, xs, ledger=ledger) <= 0.0, n, seed)
     extras = {"n_failures": round(pf * n)}
     if pf == 0.0:
@@ -267,8 +321,7 @@ def estimate_is(
     instrumental density makes the estimator undefined and raises
     :class:`EstimatorError`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _checked(n=n)["n"]
     rng = make_rng(seed)
     xs = instrumental.sampler(rng, n)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -311,6 +364,7 @@ def cornell_index(
     else it is a first-order approximation that depends on how g is written
     (it is not invariant under equivalent reformulations of g).
     """
+    step = _checked(step=step)["step"]
     g_rows = partial(evaluate_batch, ls, ledger=ledger)
     mu = rv.means()
     g0 = g_rows(mu)[0]
@@ -355,6 +409,7 @@ def form(
     Raises :class:`IterationError` with the best iterate attached when no
     start converges.
     """
+    tol, gtol, max_iter = _checked(tol=tol, gtol=gtol, max_iter=max_iter).values()
     m = rv.dimension
     calls = 0
 

@@ -38,7 +38,7 @@ from scipy.special import ndtr
 
 from ._blas import one_blas_thread
 from .errors import ConditioningError, FitError, MarginCollapsed
-from .estimators import ReliabilityResult, _sweep, mc_cov
+from .estimators import ReliabilityResult, _checked, _sweep, mc_cov
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
 from .probmodel import RandomVector, _latin_hypercube, make_rng
 
@@ -567,6 +567,7 @@ def ak_mcs(
     call budget is exhausted.  A picked point that coincides with a design
     point is skipped without a call, and the surrogate is refitted.
     """
+    n_pool, u_stop, budget = _checked(n_pool=n_pool, u_stop=u_stop, budget=budget).values()
     rng = make_rng(seed)
     s_design, s_pool, s_fit = rng.spawn(3)
     pool = rv.sample(n_pool, scheme="monte_carlo", seed=s_pool)
@@ -605,6 +606,7 @@ def ak_estimate(
     only that sweep's sampling CoV, blind to the surrogate's error.  The band
     ends, the enrichment's stop and its trace are in ``extras``.
     """
+    n_bounds, k = _checked(n_bounds=n_bounds, k=k).values()
     rng = make_rng(seed)
     res = ak_mcs(ls, rv, seed=rng, ledger=ledger, **options)
     lo, mid, hi = krig_pf_bounds(res.model, rv, k=k, n=n_bounds, seed=rng)
@@ -637,9 +639,9 @@ def adaptive_margin_design(
     ``n_chain`` kept rows go to :func:`enrich_margin` for ``n_clusters`` new
     points.  A pool that keeps no row (a collapsed margin) also converges.
     """
-    for name, size in (("n_clusters", n_clusters), ("n_bounds", n_bounds), ("n_chain", n_chain)):
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1")
+    k, n_clusters, tol, budget, n_bounds, n_chain = _checked(
+        k=k, n_clusters=n_clusters, tol=tol, budget=budget, n_bounds=n_bounds, n_chain=n_chain
+    ).values()
     s_design, s_fit, s_chain, s_bounds = make_rng(seed).spawn(4)
     pool = rv.sample(n_bounds, scheme="monte_carlo", seed=s_bounds)
 

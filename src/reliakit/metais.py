@@ -34,7 +34,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .errors import EstimatorError, SamplerError
-from .estimators import _beta, _is_weights, _mean_cov, _result_dict, _sweep
+from .estimators import _beta, _checked, _is_weights, _mean_cov, _result_dict, _sweep
 from .kriging import (
     _BATCH,
     KrigingModel,
@@ -62,7 +62,10 @@ class MetaIsResult:
     ``pf`` is stored as the exact product alpha_corr * pf_epsilon.  The
     combined coefficient of variation assumes the two factors are
     independent, which holds because they are estimated from disjoint
-    random streams.
+    random streams.  It is first order: ``cov_total = sqrt(a^2 + e^2)``,
+    with a = ``cov_alpha`` and e = ``cov_epsilon``, while the exact relative
+    variance of a product of independent estimates is a^2 + e^2 + a^2 e^2.
+    The term left out is small while either CoV is small.
     """
 
     pf: float
@@ -238,9 +241,11 @@ def metais_estimate(
     The three stages (enrichment, normalization sweep, correction
     sampling) draw from independently spawned random streams, so the two
     estimated factors are independent and their squared coefficients of
-    variation add.  The sweep does not reuse the enrichment's pool, whose
-    rows chose the design and so are not independent of the surrogate.
+    variation add, to first order (see :class:`MetaIsResult`).  The sweep
+    does not reuse the enrichment's pool, whose rows chose the design and
+    so are not independent of the surrogate.
     """
+    n_epsilon, n_corr = _checked(n_epsilon=n_epsilon, n_corr=n_corr).values()
     if model is not None and options:
         raise TypeError(f"DoE options {sorted(options)} have no effect with a prebuilt model")
     rng = make_rng(seed)

@@ -31,7 +31,7 @@ from scipy.special import gammaln, roots_genlaguerre, roots_jacobi
 
 from ._blas import one_blas_thread
 from .errors import FitError
-from .estimators import ReliabilityResult, _clean, _sweep
+from .estimators import ReliabilityResult, _checked, _clean, _sweep
 from .limitstate import EvalLedger, ExperimentalDesign, LimitState, evaluate_batch
 from .probmodel import RandomVector, make_rng, standard_normal_vector
 
@@ -489,10 +489,7 @@ def pce_adaptive(
     meets ``target_err``; past ``p_max`` the best model so far is returned
     with ``diagnostics['converged'] = False``.
     """
-    if target_err <= 0.0:
-        raise ValueError("target_err must be > 0")
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+    target_err, p_max = _checked(target_error=target_err, p_max=p_max).values()
     rng = make_rng(seed)
     design: ExperimentalDesign | None = None
     best: PceModel | None = None
@@ -542,7 +539,9 @@ def pce_estimate(
     before any design is drawn.  ``cov`` is the sweep's sampling CoV alone;
     the fit's own error estimate is ``extras["fit"]["loo_error"]``.
     """
-    top = max(p_max if target_error is not None else degree, 0)
+    degree, p_max, n_surrogate = _checked(
+        degree=degree, p_max=p_max, n_surrogate=n_surrogate).values()
+    top = p_max if target_error is not None else degree
     terms = math.comb(rv.dimension + top, top)
     if terms > _MAX_TERMS:
         raise ValueError(f"degree {top} in {rv.dimension} inputs needs {terms} > {_MAX_TERMS} terms")

@@ -293,7 +293,7 @@ class RandomVector:
         for i, marg in enumerate(self.marginals):
             lo, hi = marg.support
             col = pts[:, i]
-            if np.any(col <= lo) or np.any(col >= hi):
+            if not np.all((col > lo) & (col < hi)):  # NaN lies in no support
                 raise DomainError(
                     f"component {i} outside open support ({lo}, {hi}) of {marg.family}"
                 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .errors import FitError
-from .estimators import ReliabilityResult, _sweep
+from .estimators import ReliabilityResult, _checked, _sweep
 from .limitstate import EvalLedger, LimitState, evaluate_batch
 from .pce import _loo, _lstsq
 from .probmodel import RandomVector, make_rng
@@ -172,8 +172,9 @@ def qrs_estimate(
     """
     rng = make_rng(seed)
     p = qrs_n_coeffs(rv.dimension, include_cross)
-    if n_design is None:
-        n_design = 3 * p
+    n_design, n_surrogate, include_cross = _checked(
+        n_design=3 * p if n_design is None else n_design, n_surrogate=n_surrogate,
+        include_cross=include_cross).values()
     if n_design < p:
         raise ValueError(f"n_design {n_design} is below the {p} quadratic coefficients")
     pts = rv.sample(n_design, scheme="latin_hypercube", seed=rng)

@@ -10,10 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from jsonschema.validators import validator_for
 
 import reliakit
 from reliakit.cli import main
+from reliakit.estimators import _OPTION_RANGES
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -36,7 +36,7 @@ class TestRun:
         out = str(tmp_path / "res.json")
         cfg = write_config(tmp_path, linear_mc_config(out))
         assert main(["run", "--config", cfg]) == 0
-        record = json.loads(open(out).read())
+        record = json.loads(Path(out).read_text())
         assert record["seed"] == 3
         assert record["result"]["method"] == "mc"
         assert record["result"]["n_calls"] == 20_000
@@ -52,8 +52,8 @@ class TestRun:
         cfg2 = write_config(tmp_path, linear_mc_config(out2), "c2.json")
         assert main(["run", "--config", cfg1]) == 0
         assert main(["run", "--config", cfg2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-        assert open(out1).read().endswith("\n")
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+        assert Path(out1).read_text().endswith("\n")
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out1 = str(tmp_path / "a.json")
@@ -62,8 +62,8 @@ class TestRun:
         cfg2 = write_config(tmp_path, linear_mc_config(out2), "c2.json")
         assert main(["run", "--config", cfg1]) == 0
         assert main(["run", "--config", cfg2, "--seed", "99"]) == 0
-        a = json.loads(open(out1).read())
-        b = json.loads(open(out2).read())
+        a = json.loads(Path(out1).read_text())
+        b = json.loads(Path(out2).read_text())
         assert b["seed"] == 99
         assert a["result"]["pf"] != b["result"]["pf"]
 
@@ -85,7 +85,7 @@ class TestRun:
         out = str(tmp_path / "r.json")
         cfg = write_config(tmp_path, linear_mc_config(out, n=5000))
         assert main(["run", "--config", cfg, "--method-override", "n=12000"]) == 0
-        record = json.loads(open(out).read())
+        record = json.loads(Path(out).read_text())
         assert record["result"]["n_calls"] == 12000
 
     def test_bad_override_rejected(self, tmp_path):
@@ -133,7 +133,7 @@ class TestRun:
             },
         )
         assert main(["run", "--config", cfg]) == 0
-        record = json.loads(open(out).read())
+        record = json.loads(Path(out).read_text())
         assert record["result"]["beta"] == pytest.approx(2.5, abs=1e-6)
 
     def test_waarts_fosm_fails_numerically(self, tmp_path):
@@ -189,11 +189,6 @@ class TestModelErrors:
 
 
 class TestConfigValidation:
-    def test_schemas_are_valid(self):
-        # the CLI builds its validators once without checking the schemas
-        for schema in (reliakit.cli._RUN_SCHEMA, reliakit.cli._METHOD_SCHEMA):
-            validator_for(schema).check_schema(schema)
-
     def test_missing_file(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 
@@ -298,7 +293,7 @@ class TestConfigValidation:
         ids=["ak", "metais"],
     )
     def test_budget_below_initial_design_exits_two(self, tmp_path, capsys, ledgers, method):
-        # the schema admits the budget; the method rejects it before any call
+        # the option check admits the budget; the method rejects it before any call
         cfg = write_config(tmp_path, {"problem": {"benchmark": "waarts"}, "method": method})
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -317,6 +312,49 @@ class TestConfigValidation:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert [ledger.count for ledger in ledgers] == [0]
+
+    # Each option of each method one step out of range, and n as a bool; a
+    # size past 10^9 is the subprocess test's below.
+    BAD_OPTIONS = [("mc", "n", True)] + [
+        (method, name, {int: lo - 1, float: 0.0 if lo > 0 else -1.0, bool: 1}[kind])
+        for method, names in sorted(reliakit.cli._OPTIONS.items())
+        for name in sorted(names & _OPTION_RANGES.keys())
+        for kind, lo, _ in [_OPTION_RANGES[name]]
+    ]
+
+    @pytest.mark.parametrize(
+        "method, option, value", BAD_OPTIONS, ids=[f"{m}-{o}={v}" for m, o, v in BAD_OPTIONS]
+    )
+    def test_bad_option_exits_two_before_any_ledger(
+        self, tmp_path, capsys, ledgers, no_model_calls, method, option, value
+    ):
+        cfg = write_config(
+            tmp_path, {"problem": {"benchmark": "waarts"}, "method": {"name": method, option: value}}
+        )
+        assert main(["run", "--config", cfg]) == 2
+        assert f"{option} must be" in capsys.readouterr().err
+        assert ledgers == []
+
+    def test_options_are_the_keywords_the_option_check_knows(self):
+        # seed, ledger, model, trend and extra_starts stay out by that rule
+        assert reliakit.cli._OPTIONS == {
+            "mc": {"n"},
+            "is": {"n", "instrumental"},
+            "fosm": {"step"},
+            "form": {"tol", "gtol", "max_iter"},
+            "qrs": {"n_design", "n_surrogate", "include_cross"},
+            "pce": {"degree", "target_error", "p_max", "n_surrogate"},
+            "ak": {"n_pool", "u_stop", "budget", "n_bounds", "k"},
+            "metais": {"n_epsilon", "n_corr", "k", "n_clusters", "tol", "budget", "n_bounds",
+                       "n_chain"},
+        }
+
+    def test_compare_checks_every_option_before_any_call(self, tmp_path, capsys, ledgers):
+        methods = [{"name": "mc", "n": 100}, {"name": "form", "max_iter": 0}]
+        cfg = write_config(tmp_path, {"problem": {"benchmark": "waarts"}, "methods": methods})
+        assert main(["compare", "--config", cfg]) == 2
+        assert "max_iter must be" in capsys.readouterr().err
+        assert ledgers == []
 
     @staticmethod
     def run_counting_calls(*cfgs):
@@ -403,8 +441,8 @@ class TestConfigValidation:
     def test_sample_size_past_the_cap_exits_two_before_any_call(
         self, past_the_cap_runs, method, option
     ):
-        # one row past the cap: the schema refuses a run that would take
-        # days, before a ledger exists, so no model call is made
+        # one row past the cap: the option check refuses a run that would
+        # take days, before a ledger exists, so no model call is made
         code, err, calls = past_the_cap_runs[method, option]
         assert code == 2, err
         assert err.startswith("config error:")
@@ -508,7 +546,7 @@ def no_model_calls(monkeypatch):
 
 
 class TestNonFiniteNumbers:
-    # json and jsonschema accept NaN, Infinity and 1e999; each must exit 2
+    # json accepts NaN, Infinity and 1e999; each must exit 2
     # before the model sees a point, and write nothing
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -560,7 +598,7 @@ class TestCompare:
             },
         )
         assert main(["compare", "--config", cfg]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(Path(out).read_text().splitlines()))
         assert [r["method"] for r in rows] == ["mc", "form"]
         assert all(r["status"] == "ok" for r in rows)
         assert float(rows[1]["beta"]) == pytest.approx(2.0, abs=1e-6)
@@ -596,7 +634,7 @@ class TestCompare:
             },
         )
         assert main(["compare", "--config", cfg]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(Path(out).read_text().splitlines()))
         assert rows[0]["status"] == "failed"
         assert rows[1]["status"] == "ok"
 
@@ -627,7 +665,7 @@ class TestCompare:
             },
         )
         assert main(["compare", "--config", cfg]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(Path(out).read_text().splitlines()))
         assert rows[0]["pf"] != rows[1]["pf"]
 
 
@@ -669,7 +707,7 @@ class TestExitCodes:
             "cmp.json",
         )
         assert main(["compare", "--config", cmp_cfg]) == 3
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(Path(out).read_text().splitlines()))
         assert [r["status"] for r in rows] == ["failed"]
 
     def test_config_error_still_exits_two(self, tmp_path, monkeypatch):
@@ -757,7 +795,7 @@ class TestEnvironment:
             },
         )
         assert main(["run", "--config", cfg]) == 0
-        first = open(out).read().splitlines()[0]
+        first = Path(out).read_text().splitlines()[0]
         assert first.startswith("method,")
 
 
@@ -774,7 +812,7 @@ class TestSurrogateMethods:
             },
         )
         assert main(["run", "--config", cfg]) == 0
-        record = json.loads(open(out).read())
+        record = json.loads(Path(out).read_text())
         pf = record["result"]["pf"]
         assert pf == pytest.approx(float(0.0227501), rel=0.1)
         # true-model cost is only the design, not the surrogate sweep
@@ -794,7 +832,7 @@ class TestSurrogateMethods:
             },
         )
         assert main(["run", "--config", cfg]) == 0
-        fit = json.loads(open(out).read())["result"]["extras"]["fit"]
+        fit = json.loads(Path(out).read_text())["result"]["extras"]["fit"]
         assert fit["loo_undefined"] is True
         assert fit["loo_error"] is None
 
@@ -810,7 +848,7 @@ class TestSurrogateMethods:
             },
         )
         assert main(["run", "--config", cfg]) == 0
-        record = json.loads(open(out).read())
+        record = json.loads(Path(out).read_text())
         assert record["result"]["pf"] == pytest.approx(0.0227501, rel=0.1)
 
     def test_metais_summary_reports_split_cost(self, tmp_path, capsys):
@@ -833,7 +871,7 @@ class TestSurrogateMethods:
         )
         assert main(["run", "--config", cfg]) == 0
         err = capsys.readouterr().err
-        record = json.loads(open(out).read())
+        record = json.loads(Path(out).read_text())
         res = record["result"]
         # the summary line prints the total; the JSON keeps the doe+corr split
         assert err.split()[-1] == f"calls={res['n_calls']}"
@@ -855,7 +893,7 @@ class TestSurrogateMethods:
             },
         )
         assert main(["run", "--config", cfg]) == 0
-        res = json.loads(open(out).read())["result"]
+        res = json.loads(Path(out).read_text())["result"]
         assert res["method"] == "ak"
         assert res["pf"] == pytest.approx(0.0227501, rel=0.15)
         assert 12 <= res["n_calls"] <= 30
@@ -887,7 +925,7 @@ class TestSurrogateMethods:
             },
         )
         assert main(["run", "--config", cfg]) == 0
-        res = json.loads(open(out).read())["result"]
+        res = json.loads(Path(out).read_text())["result"]
         assert res["n_calls"] == 20_000
         assert res["pf"] == pytest.approx(0.0227501, abs=5.0 * res["cov"] * res["pf"])
 
@@ -905,8 +943,8 @@ class TestSurrogateMethods:
         assert main(["run", "--config", cfg]) == 2
 
     def test_integral_float_override_matches_integer(self, tmp_path):
-        # the schema accepts 40.0 as an integer; the runner must cast it
-        # before it sizes the correction sample
+        # the option check accepts 40.0 as an integer and casts it before it
+        # sizes the correction sample
         cfg = write_config(
             tmp_path,
             {
@@ -927,6 +965,6 @@ class TestSurrogateMethods:
             out = str(tmp_path / f"m{value}.json")
             assert main(["run", "--config", cfg, "--output", out,
                          "--method-override", f"n_corr={value}"]) == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["result"]["n_calls_corr"] == 40

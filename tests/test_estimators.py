@@ -1,5 +1,6 @@
 """Sampling estimators, moment-based indices and FORM."""
 
+import inspect
 import math
 import warnings
 
@@ -43,7 +44,8 @@ from reliakit import (
     sample_instrumental,
     standard_normal_vector,
 )
-from reliakit.estimators import _mean_cov
+import reliakit
+from reliakit.estimators import _OPTION_RANGES, _mean_cov
 
 
 def batch_recording(ls):
@@ -419,3 +421,68 @@ class TestForm:
         ls = LimitState(2, lambda u: 2.0 - u[0] if u[0] < 0.5 else math.nan)
         with pytest.raises(ModelError, match="non-finite"):
             form(ls, standard_normal_vector(2))
+
+
+# Every function that takes an option the CLI exposes, its other arguments
+# bound, so that a case names only the option it puts out of range.
+OPTION_TAKERS = {
+    "estimate_mc": lambda ls, rv, **kw: reliakit.estimate_mc(ls, rv, **{"n": 100, **kw}),
+    "estimate_is": lambda ls, rv, **kw: reliakit.estimate_is(
+        ls, InstrumentalDensity.from_random_vector(rv), rv.joint_pdf, **{"n": 100, **kw}),
+    "pce_adaptive": lambda ls, rv, **kw: reliakit.pce_adaptive(
+        ls, rv, **{"target_err": 1e-3, "p_max": 3, **kw}),
+    **{name: getattr(reliakit, name) for name in (
+        "cornell_index", "form", "qrs_estimate", "pce_estimate", "ak_estimate", "ak_mcs",
+        "metais_estimate", "adaptive_margin_design")},
+}
+
+# The 16 cases of the roadmap's option item: 13 of them reached the model
+# before they failed.
+ROADMAP_CASES = [
+    ("form", {"max_iter": 0}), ("form", {"tol": -1}), ("cornell_index", {"step": -1}),
+    ("qrs_estimate", {"n_surrogate": 0}), ("pce_estimate", {"degree": 0}),
+    ("pce_estimate", {"degree": 25}), ("pce_estimate", {"n_surrogate": 0}),
+    ("ak_estimate", {"u_stop": -1}), ("ak_estimate", {"k": -1}),
+    ("metais_estimate", {"n_corr": 0}), ("metais_estimate", {"tol": -1}),
+    ("metais_estimate", {"k": -1}), ("metais_estimate", {"n_epsilon": 0}),
+    ("estimate_mc", {"n": 0}), ("ak_estimate", {"n_pool": 0}), ("ak_estimate", {"budget": 0}),
+]
+
+
+def bad_values(name):
+    """Values outside the option's range, and values of the wrong type."""
+    kind, lo, hi = _OPTION_RANGES[name]
+    if kind is bool:
+        return [1]
+    if kind is int:
+        return [lo - 1, True] + ([hi + 1] if hi <= 20 else [])
+    return [0.0 if lo > 0 else -1.0, math.nan, "1"] + ([math.inf] if hi < math.inf else [])
+
+
+# One case per option of each function, and per way of being out of range.
+# A size past 10^9 is left to the CLI's subprocess test: it would draw that
+# many rows if its check went missing.
+OPTION_CASES = [("pce_adaptive", {"target_err": 0.0})] + [
+    (function, {name: bad})
+    for function in OPTION_TAKERS
+    for name in inspect.signature(getattr(reliakit, function)).parameters
+    if name in _OPTION_RANGES
+    for bad in bad_values(name)
+]
+
+
+@pytest.mark.parametrize(
+    "function, options", ROADMAP_CASES + OPTION_CASES,
+    ids=[f"{tag}-{f}-{k}={v!r}" for tag, cases in (("roadmap", ROADMAP_CASES), ("each", OPTION_CASES))
+         for f, opts in cases for k, v in opts.items()],
+)
+def test_bad_option_raises_before_any_model_call(function, options):
+    def first_call_raises(xs):
+        raise AssertionError("the model was called")
+
+    ledger = EvalLedger()
+    ls = LimitState(2, vector_evaluator=first_call_raises)
+    (name,) = options
+    with pytest.raises(ValueError, match=name):
+        OPTION_TAKERS[function](ls, standard_normal_vector(2), ledger=ledger, **options)
+    assert ledger.count == 0

@@ -286,6 +286,15 @@ class TestTransform:
         with pytest.raises(DomainError):
             rv.from_standard(np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "marg", [Marginal.gaussian(0.0, 1.0), Marginal.gamma(2.0, 1.0)], ids=["gaussian", "gamma"]
+    )
+    def test_nan_physical_point_raises(self, marg):
+        # NaN fails both the lower and the upper support test, so neither may pass it
+        rv = RandomVector((marg, Marginal.gaussian(0.0, 1.0)))
+        with pytest.raises(DomainError, match="component 0"):
+            rv.to_standard(np.array([[np.nan, 0.0]]))
+
 
 class TestCorrelationValidation:
     def test_asymmetric_rejected(self):
